@@ -535,14 +535,6 @@ let squash_cmd =
                 (bits/instruction over the compressed regions, code tables \
                 included in the total).")
   in
-  let lint_flag =
-    Arg.(
-      value & flag
-      & info [ "lint" ]
-          ~doc:"Run the whole-image static verifier over the finished image \
-                (as pipeline pass $(b,lint)); exit 1 on any error-severity \
-                diagnostic.")
-  in
   let prove_flag =
     Arg.(
       value & flag
@@ -553,7 +545,7 @@ let squash_cmd =
   in
   let run prog_name no_squeeze inputs theta k_bytes profile_file no_pack no_bsafe
       no_unswitch sharp_bsafe coder linear_regions verify cache_slots
-      trace_passes check_each stats_json stream_bits lint prove =
+      trace_passes check_each stats_json stream_bits prove =
     let prog, wl = prepare prog_name no_squeeze in
     let input = resolve_input inputs wl in
     let profile =
@@ -583,18 +575,13 @@ let squash_cmd =
     let metrics = Obs.Metrics.create () in
     let obs = Obs.create ~metrics () in
     let result =
-      try Squash.run ~options ~check_each ~lint ~prove ?trace ~obs prog profile
+      try Squash.run ~options ~check_each ~lint:true ~prove ?trace ~obs prog profile
       with
       | Pipeline.Check_failed { pass; errors } ->
         Printf.eprintf "squashc: pass %S broke an invariant:\n" pass;
         List.iter (fun e -> Printf.eprintf "squashc:   %s\n" e) errors;
         exit 1
     in
-    (match Check.check result.Squash.squashed with
-    | Ok () -> ()
-    | Error es ->
-      List.iter (fun e -> Printf.eprintf "squashc: image check: %s\n" e) es;
-      exit 1);
     Format.printf "%a@." Squash.pp_summary result;
     if trace_passes then print_string (Pipeline.render_stats result.Squash.stats);
     let region_streams () =
@@ -674,12 +661,15 @@ let squash_cmd =
         exit 1)
   in
   Cmd.v
-    (Cmd.info "squash" ~doc:"Profile-guided compression; report the footprint.")
+    (Cmd.info "squash"
+       ~doc:"Profile-guided compression; report the footprint.  The finished \
+             image always passes the lint level of the image gate (pipeline \
+             pass $(b,lint)); any error-severity diagnostic exits 1.")
     Term.(
       const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes
       $ profile_file $ no_pack $ no_bsafe $ no_unswitch $ sharp_bsafe $ coder
       $ linear_regions $ verify $ cache_slots_arg $ trace_passes $ check_each
-      $ stats_json $ stream_bits $ lint_flag $ prove_flag)
+      $ stats_json $ stream_bits $ prove_flag)
 
 (* --- attrib ----------------------------------------------------------- *)
 
@@ -1257,10 +1247,10 @@ let lint_cmd =
   in
   Cmd.v
     (Cmd.info "lint"
-       ~doc:"Statically verify squashed images: entry stubs, dangling \
-             transfers into removed regions, stub-register liveness, and \
-             buffer-safety of unchanged calls.  Exits 1 on any \
-             error-severity diagnostic.")
+       ~doc:"Statically verify squashed images: layout, entry stubs, \
+             stream round-trips, dangling transfers into removed regions, \
+             stub-register liveness, and buffer-safety of unchanged calls.  \
+             Exits 1 on any error-severity diagnostic.")
     Term.(const run $ workloads_arg $ thetas $ k_bytes $ sharp $ coder $ json_out)
 
 (* --- prove -------------------------------------------------------------- *)
@@ -1380,7 +1370,7 @@ let prove_cmd =
     | Some path ->
       let doc =
         Report.Json.Obj
-          [ ("schema", Report.Json.String "pgcc-prove-v1");
+          [ ("schema", Report.Json.String "pgcc-prove-v2");
             ( "cells",
               Report.Json.List
                 (List.rev_map

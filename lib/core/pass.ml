@@ -41,6 +41,8 @@ type state = {
   regions : Regions.t option;
   buffer_safe : Buffer_safe.t option;
   squashed : Rewrite.t option;
+  lint : Verify.diag list option;
+  proof : Prove.report option;
 }
 
 let init ?(options = default_options) ?(setjmp_callers = []) prog profile =
@@ -58,6 +60,8 @@ let init ?(options = default_options) ?(setjmp_callers = []) prog profile =
     regions = None;
     buffer_safe = None;
     squashed = None;
+    lint = None;
+    proof = None;
   }
 
 type t = {

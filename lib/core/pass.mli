@@ -52,6 +52,11 @@ type state = {
   regions : Regions.t option;
   buffer_safe : Buffer_safe.t option;
   squashed : Rewrite.t option;
+  lint : Verify.diag list option;
+      (** The lint level's diagnostics (warnings only, since errors stop
+          the pipeline), once the ["lint"] pass ran. *)
+  proof : Prove.report option;  (** The prove level's report, once the
+                                    ["prove"] pass ran. *)
 }
 
 val init :

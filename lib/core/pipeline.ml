@@ -274,6 +274,17 @@ let rewrite_pass =
           sq.Rewrite.entry_stub_words sq.Rewrite.buffer_words);
   }
 
+(* --- the image gate ---------------------------------------------------
+   One gate over the finished image, in three levels: [check_state] runs
+   the structure level after every pass (with [~check_each]), [lint_pass]
+   the lint level and [prove_pass] the prove level.  Each pass keeps its
+   result in the state, so its note reads it instead of running again. *)
+
+let fail_on_errors pass diags =
+  match Verify.errors diags with
+  | [] -> ()
+  | errs -> raise (Check_failed { pass; errors = List.map Verify.message errs })
+
 let lint_pass =
   {
     Pass.name = "lint";
@@ -283,19 +294,13 @@ let lint_pass =
     after = [];
     transform =
       (fun st ->
-        let sq = Pass.get_squashed ~who:"lint" st in
-        let diags = Verify.run sq in
-        (match Verify.errors diags with
-        | [] -> ()
-        | errs ->
-          raise
-            (Check_failed
-               { pass = "lint"; errors = List.map Verify.message errs }));
-        st);
+        let diags = Verify.run (Pass.get_squashed ~who:"lint" st) in
+        fail_on_errors "lint" diags;
+        { st with Pass.lint = Some diags });
     note =
       (fun st ->
-        let diags = Verify.run (Pass.get_squashed ~who:"lint" st) in
-        Printf.sprintf "0 errors, %d warnings" (List.length diags));
+        Printf.sprintf "0 errors, %d warnings"
+          (List.length (Option.value ~default:[] st.Pass.lint)));
   }
 
 let prove_pass =
@@ -307,22 +312,18 @@ let prove_pass =
     after = [ "lint" ];
     transform =
       (fun st ->
-        let sq = Pass.get_squashed ~who:"prove" st in
         (* Two slots are enough to exercise the slot-relative rebias of
            every external displacement on top of the slot-0 layout. *)
-        let r = Prove.run ~slots:2 sq in
-        (match r.Prove.failures with
-        | [] -> ()
-        | fs ->
-          raise
-            (Check_failed
-               { pass = "prove"; errors = List.map Prove.failure_message fs }));
-        st);
+        let r = Prove.run ~slots:2 (Pass.get_squashed ~who:"prove" st) in
+        fail_on_errors "prove" r.Prove.failures;
+        { st with Pass.proof = Some r });
     note =
       (fun st ->
-        let r = Prove.run ~slots:2 (Pass.get_squashed ~who:"prove" st) in
-        Printf.sprintf "%d/%d block proofs, %d conservative" r.Prove.proved
-          r.Prove.blocks r.Prove.conservative);
+        match st.Pass.proof with
+        | None -> ""
+        | Some r ->
+          Printf.sprintf "%d/%d block proofs, %d conservative" r.Prove.proved
+            r.Prove.blocks r.Prove.conservative);
   }
 
 let standard =
@@ -381,8 +382,7 @@ let check_state (st : Pass.state) =
   let image =
     match st.Pass.squashed with
     | None -> []
-    | Some sq -> (
-      match Check.check sq with Ok () -> [] | Error es -> es)
+    | Some sq -> List.map Verify.message (Verify.errors (Verify.structure sq))
   in
   match ir @ image with [] -> Ok () | es -> Error es
 

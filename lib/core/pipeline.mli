@@ -24,7 +24,14 @@
     {!execute} runs a pass list over a {!Pass.state}, recording per-pass
     wall-clock time and instruction/word deltas, optionally tracing each
     pass and validating the IR (and, once present, the squashed image)
-    after every pass. *)
+    after every pass.
+
+    The image gate has three levels, all reporting {!Verify.diag} values:
+    structure ({!Verify.structure}, after every pass under
+    [~check_each:true]), lint ({!lint_pass}) and prove ({!prove_pass}).
+    Each gate pass stores its result in the state ([Pass.lint],
+    [Pass.proof]), and its note reads it back rather than checking
+    again. *)
 
 exception Check_failed of { pass : string; errors : string list }
 (** Raised by [execute ~check_each:true] when validation fails after a
@@ -39,19 +46,17 @@ val buffer_safe_pass : Pass.t
 val rewrite_pass : Pass.t
 
 val lint_pass : Pass.t
-(** Opt-in: {!Verify.run} over the squashed image; raises {!Check_failed}
-    (as pass ["lint"]) when any error-severity diagnostic fires.  Not part
-    of {!standard}; append it (or pass [~lint:true] to {!Squash.run}) to
-    verify as part of the pipeline, the static counterpart of
-    [~check_each]. *)
+(** The lint level: {!Verify.run} over the squashed image; raises
+    {!Check_failed} (as pass ["lint"]) when any error-severity diagnostic
+    fires.  Not part of {!standard}; append it (or pass [~lint:true] to
+    {!Squash.run}) to lint as part of the pipeline. *)
 
 val prove_pass : Pass.t
-(** Opt-in: {!Prove.run} with two cache slots over the squashed image — the
-    translation-validation counterpart of {!lint_pass}; raises
-    {!Check_failed} (as pass ["prove"]) when any region block cannot be
-    proved equivalent to its materialised rewrite.  Ordered after ["lint"]
-    when both run, so structural diagnostics surface before equivalence
-    ones. *)
+(** The prove level: {!Prove.run} with two cache slots over the squashed
+    image; raises {!Check_failed} (as pass ["prove"]) when any region block
+    cannot be proved equivalent to its materialised rewrite.  Ordered after
+    ["lint"] when both run, so structural diagnostics surface before
+    equivalence ones. *)
 
 val standard : Pass.t list
 (** All seven passes, in paper order. *)
@@ -65,7 +70,7 @@ val skip : string list -> Pass.t list -> Pass.t list
 (** Remove passes by name. *)
 
 val by_name : string -> Pass.t option
-(** Look up a standard pass (or ["lint"]). *)
+(** Look up a standard pass, ["lint"] or ["prove"]. *)
 
 val names : Pass.t list -> string list
 
@@ -88,7 +93,8 @@ val execute :
     may repeat — violations raise [Invalid_argument] before anything runs.
 
     With [~check_each:true], {!Prog_check.check} (against the state's
-    profile) runs after every pass, plus {!Check.check} once a squashed
+    profile) runs after every pass, plus the gate's structure level
+    ({!Verify.structure}, error-severity diagnostics only) once a squashed
     image exists; a failure raises {!Check_failed} naming the offending
     pass.  [trace] receives one line per pass as it completes.  [obs]
     receives {!Obs.Event.Pass_begin}/{!Obs.Event.Pass_end} span events

@@ -1,7 +1,5 @@
 type fault = Rebias_delta of int
 
-type failure = { rid : int; slot : int; site : string; reason : string }
-
 type report = {
   regions : int;
   slots : int;
@@ -9,7 +7,7 @@ type report = {
   proved : int;
   stubs : int;
   conservative : int;
-  failures : failure list;
+  failures : Verify.diag list;
 }
 
 (* The rewritten side of a proof: the typed exit of a materialised block,
@@ -74,199 +72,96 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
   let failures = ref [] in
   let fail ~rid ~slot ~site fmt =
     Format.kasprintf
-      (fun reason -> failures := { rid; slot; site; reason } :: !failures)
+      (fun message ->
+        failures :=
+          {
+            Verify.severity = Verify.Error;
+            kind = Verify.Unproved_region;
+            site = Printf.sprintf "%s slot %d" site slot;
+            region = Some rid;
+            addr = None;
+            message;
+          }
+          :: !failures)
       fmt
   in
   let blocks = ref 0 in
   let proved = ref 0 in
   let conservative = ref 0 in
-
-  (* --- entry-stub obligations (slot-independent) -------------------- *)
-  (* Same obligations as the linter's Bad_stub/Live_stub_reg checks, with
-     the dead-register fact re-derived from the independent Dataflow
-     liveness solver: the stub decodes to its 2- or 3-word form, the bsr
-     lands on the decompressor entry matching the link register, and the
-     tag names this block's (region, buffer offset) pair — which is what
-     the decomp hook dereferences into [slot_base + 4*off]. *)
-  let text = sq.Rewrite.text.Easm.words in
-  let tbase = sq.Rewrite.text.Easm.base in
-  let word_at addr =
-    let idx = (addr - tbase) / 4 in
-    if addr land 3 <> 0 || idx < 0 || idx >= Array.length text then None
-    else Some text.(idx)
-  in
-  let live_cache = Hashtbl.create 16 in
-  let live_in fname i =
-    let lv =
-      match Hashtbl.find_opt live_cache fname with
-      | Some lv -> lv
-      | None ->
-        let lv = Dataflow.Liveness.solve (Hashtbl.find func_of fname) in
-        Hashtbl.replace live_cache fname lv;
-        lv
-    in
-    lv.Cfg.live_in.(i)
-  in
-  let stubs = ref 0 in
-  let region_of key = Hashtbl.find_opt sq.Rewrite.regions.Regions.region_of key in
-  List.iter
-    (fun (((fname, i) as key), addr) ->
-      let rid = match region_of key with Some r -> r | None -> -1 in
-      let site = Printf.sprintf "%s.b%d" fname i in
-      let sfail fmt = fail ~rid ~slot:0 ~site fmt in
-      let check_tag tag_addr =
-        match (word_at tag_addr, region_of key) with
-        | None, _ -> sfail "stub tag word at 0x%x lies outside the text" tag_addr
-        | _, None -> sfail "stub guards a block that is in no region"
-        | Some tag, Some rid ->
-          let off =
-            Hashtbl.find_opt sq.Rewrite.images.(rid).Rewrite.block_offset key
-          in
-          if Some (tag land 0xFFFF) <> off || tag lsr 16 <> rid then
-            sfail
-              "stub tag 0x%x does not name (region %d, offset %s): resuming \
-               through it would enter the buffer at the wrong word"
-              tag rid
-              (match off with None -> "?" | Some o -> string_of_int o)
-          else incr stubs
-      in
-      match word_at addr with
-      | None -> sfail "stub address 0x%x lies outside the text" addr
-      | Some w -> (
-        match Instr.decode w with
-        | Ok (Instr.Bsr { ra; disp }) ->
-          if addr + 4 + (4 * disp) <> Rewrite.decomp_entry sq ra then
-            sfail "stub bsr misses the decompressor entry for %s" (Reg.name ra)
-          else if ra = Reg.sp || ra = Reg.zero then
-            sfail "stub links through reserved register %s" (Reg.name ra)
-          else if Cfg.Regset.mem ra (live_in fname i) then
-            sfail
-              "stub clobbers %s, which the independent liveness analysis \
-               proves live at the block entry"
-              (Reg.name ra)
-          else check_tag (addr + 4)
-        | Ok (Instr.Mem { op = Instr.Stw; ra; rb; disp = -4 })
-          when ra = Reg.ra && rb = Reg.sp -> (
-          match Option.map Instr.decode (word_at (addr + 4)) with
-          | Some (Ok (Instr.Bsr { ra = ra2; disp }))
-            when ra2 = Reg.ra
-                 && addr + 8 + (4 * disp) = Rewrite.decomp_entry_push sq ->
-            check_tag (addr + 8)
-          | _ -> sfail "push-form stub lacks its bsr to the push entry")
-        | Ok _ | Error _ ->
-          sfail "stub starts with neither a bsr nor a push of ra"))
-    sq.Rewrite.stub_addrs;
+  (* The stub obligations are slot-independent: the lint level's own check. *)
+  let stub_failures, stubs = Verify.stubs sq in
 
   (* --- per-region, per-slot block proofs ----------------------------- *)
-  let offsets = sq.Rewrite.blob_offsets in
   Array.iteri
     (fun rid (r : Regions.region) ->
       let img = sq.Rewrite.images.(rid) in
       let bw = img.Rewrite.buffer_words in
       let rkeys = Array.of_list r.Regions.blocks in
       let nblocks = Array.length rkeys in
-      let rev_off = Hashtbl.create 16 in
+      (* Buffer offset -> a block laid out there, for naming landings in
+         failure messages only: a block that emits no words shares its
+         offset with the block after it. *)
+      let block_at = Hashtbl.create 16 in
       Array.iter
-        (fun key ->
-          Hashtbl.replace rev_off (Hashtbl.find img.Rewrite.block_offset key) key)
+        (fun key -> Hashtbl.replace block_at (Hashtbl.find img.Rewrite.block_offset key) key)
         rkeys;
       (* Decode this region's slice of the blob — the proof is about what
          the blob actually holds, not the stream the rewrite intended. *)
-      let bit_end =
-        if rid + 1 < Array.length offsets then Some offsets.(rid + 1) else None
-      in
-      match
-        Compress.decode_region sq.Rewrite.codes sq.Rewrite.blob
-          ~bit_offset:offsets.(rid) ?bit_end ()
-      with
-      | exception (Bitio.Corrupt_stream _ | Failure _ | Invalid_argument _) ->
+      match Verify.decode sq rid with
+      | Error d ->
         blocks := !blocks + (nblocks * slots);
-        fail ~rid ~slot:0
-          ~site:(Printf.sprintf "region %d" rid)
-          "stream does not decode; nothing to prove"
-      | stream, _work ->
+        failures := d :: !failures
+      | Ok stream ->
         for slot = 0 to slots - 1 do
           let base =
             sq.Rewrite.buffer_base + (4 * sq.Rewrite.buffer_words * slot)
           in
-          (* Materialise exactly as Runtime.decompress would for this
-             slot, but into a symbolic buffer, and catch what would be a
-             runtime crash: a rebiased displacement that no longer fits
-             its 21-bit field. *)
-          let buf = Array.make (max bw 1) Instr.Nop in
-          let pos = ref 0 in
-          let overflow = ref None in
-          let put ins =
-            (match Instr.encode ins with
-            | (_ : Word.t) -> ()
-            | exception Instr.Encode_error (msg, _) ->
-              if !overflow = None then overflow := Some (msg, ins));
-            if !pos < bw then buf.(!pos) <- ins;
-            incr pos
-          in
-          let pc_rel_to target = (target - (base + (4 * (!pos + 1)))) asr 2 in
           let delta =
             (sq.Rewrite.buffer_words * slot)
             + (match fault with Some (Rebias_delta k) when slot > 0 -> k | _ -> 0)
           in
-          let rebias disp =
-            let target0 = sq.Rewrite.buffer_base + (4 * (!pos + 1)) + (4 * disp) in
-            if target0 >= sq.Rewrite.buffer_base then disp else disp - delta
+          (* Materialise through the runtime's own materialiser, but into a
+             symbolic buffer, and catch what would be a runtime crash: a
+             rebiased displacement that no longer fits its 21-bit field. *)
+          let buf = Array.make (max bw 1) Instr.Nop in
+          let overflow = ref None in
+          let words =
+            Rewrite.materialise sq stream ~base ~delta ~put:(fun i ins ->
+                (match Instr.encode ins with
+                | (_ : Word.t) -> ()
+                | exception Instr.Encode_error (msg, _) ->
+                  if !overflow = None then overflow := Some (msg, ins));
+                if i < bw then buf.(i) <- ins)
           in
-          List.iter
-            (fun ins ->
-              match ins with
-              | Instr.Bsrx { ra; disp } ->
-                put
-                  (Instr.Bsr
-                     { ra; disp = pc_rel_to (Rewrite.create_stub_entry sq ra) });
-                put (Instr.Br { ra = Reg.zero; disp = rebias disp })
-              | Instr.Jsr { ra; rb; hint = 1 } ->
-                put
-                  (Instr.Bsr
-                     { ra; disp = pc_rel_to (Rewrite.create_stub_entry sq ra) });
-                put (Instr.Jmp { ra = Reg.zero; rb; hint = 0 })
-              | Instr.Br { ra; disp } -> put (Instr.Br { ra; disp = rebias disp })
-              | Instr.Cbr { op; ra; disp } ->
-                put (Instr.Cbr { op; ra; disp = rebias disp })
-              | Instr.Bsr { ra; disp } -> put (Instr.Bsr { ra; disp = rebias disp })
-              | ins -> put ins)
-            stream;
           blocks := !blocks + nblocks;
-          if !pos <> bw then
-            fail ~rid ~slot
-              ~site:(Printf.sprintf "region %d" rid)
-              "decoded stream materialises %d words, the image declares %d" !pos
-              bw
-          else if !overflow <> None then begin
-            match !overflow with
-            | Some (msg, ins) ->
-              fail ~rid ~slot
-                ~site:(Printf.sprintf "region %d" rid)
-                "materialisation would crash re-encoding %a at slot %d: %s"
-                Instr.pp ins slot msg
-            | None -> assert false
-          end
-          else
+          let region_site = Printf.sprintf "region %d" rid in
+          match !overflow with
+          | _ when words <> bw ->
+            fail ~rid ~slot ~site:region_site
+              "decoded stream materialises %d words, the image declares %d" words bw
+          | Some (msg, ins) ->
+            fail ~rid ~slot ~site:region_site
+              "materialisation would crash re-encoding %a: %s" Instr.pp ins msg
+          | None ->
             (* Per-block symbolic execution and matching. *)
             let addr_at p disp = base + (4 * (p + 1)) + (4 * disp) in
             let resolve a =
-              if a >= base && a < base + (4 * bw) then
-                let w = (a - base) / 4 in
-                match Hashtbl.find_opt rev_off w with
-                | Some key -> `Block key
-                | None -> `Interior w
+              if a >= base && a < base + (4 * bw) then `Buffer ((a - base) / 4)
               else `Text a
             in
             let pp_target ppf = function
-              | `Block (f, i) -> Format.fprintf ppf "%s.b%d (in buffer)" f i
-              | `Interior w -> Format.fprintf ppf "buffer interior word %d" w
+              | `Buffer w -> (
+                match Hashtbl.find_opt block_at w with
+                | Some (f, i) -> Format.fprintf ppf "%s.b%d (in buffer)" f i
+                | None -> Format.fprintf ppf "buffer interior word %d" w)
               | `Text a -> Format.fprintf ppf "0x%x" a
             in
+            (* An in-buffer landing matches by offset, not by the block
+               named there: every block sharing an offset (all but the last
+               emit no words) is proved on its own. *)
             let target_matches t key =
               match t with
-              | `Block k -> k = key
-              | `Interior _ -> false
+              | `Buffer w -> Hashtbl.find_opt img.Rewrite.block_offset key = Some w
               | `Text a -> Hashtbl.find_opt block_tbl key = Some a
             in
             for idx = 0 to nblocks - 1 do
@@ -372,139 +267,99 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
                   let continuation_ok resume return_to =
                     resume = off_next && next_is return_to
                   in
+                  let err fmt = Format.kasprintf (fun m -> Error m) fmt in
                   let mismatch () =
-                    bfail
-                      "exit diverges at slot %d:@,  original:  %a@,  rewritten: %a"
-                      slot Equiv.pp_exit oexit pp_rexit rexit
+                    err "exit diverges:@,  original:  %a@,  rewritten: %a"
+                      Equiv.pp_exit oexit pp_rexit rexit
                   in
-                  let exit_ok =
+                  let lands what a key =
+                    if target_matches (resolve a) key then Ok ()
+                    else err "%s lands on %a" what pp_target (resolve a)
+                  in
+                  let ( let* ) = Result.bind in
+                  let check_exit () =
                     match (oexit, rexit) with
                     | Equiv.Goto d, RFall ->
-                      if next_is d then true
-                      else begin
-                        bfail
-                          "goto .%d was absorbed but the next buffer block is \
-                           not .%d"
-                          d d;
-                        false
-                      end
-                    | Equiv.Goto d, RGoto a ->
-                      if target_matches (resolve a) (fname, d) then true
-                      else begin
-                        bfail "goto .%d lands on %a at slot %d" d pp_target
-                          (resolve a) slot;
-                        false
-                      end
+                      if next_is d then Ok ()
+                      else
+                        err "goto .%d was absorbed but the next buffer block is not .%d"
+                          d d
+                    | Equiv.Goto d, RGoto a -> lands (Printf.sprintf "goto .%d" d) a (fname, d)
                     | ( Equiv.Branch (c, v, taken, fl),
-                        RBranch (c', v', taken_a, fall_a) ) ->
-                      let fall_ok =
+                        RBranch (c', v', taken_a, fall_a) ) -> (
+                      if c <> c' || not (Equiv.equal_value oracle v v') then mismatch ()
+                      else
+                        let* () =
+                          lands (Printf.sprintf "taken edge .%d" taken) taken_a
+                            (fname, taken)
+                        in
                         match fall_a with
-                        | None -> next_is fl
-                        | Some a -> target_matches (resolve a) (fname, fl)
-                      in
-                      if c <> c' || not (Equiv.equal_value oracle v v') then begin
-                        mismatch ();
-                        false
-                      end
-                      else if not (target_matches (resolve taken_a) (fname, taken))
-                      then begin
-                        bfail "taken edge .%d lands on %a at slot %d" taken
-                          pp_target (resolve taken_a) slot;
-                        false
-                      end
-                      else if not fall_ok then begin
-                        bfail "fallthrough edge .%d diverges at slot %d" fl slot;
-                        false
-                      end
-                      else true
+                        | None ->
+                          if next_is fl then Ok ()
+                          else err "fallthrough edge .%d diverges" fl
+                        | Some a ->
+                          lands (Printf.sprintf "fallthrough edge .%d" fl) a (fname, fl))
                     | ( Equiv.Call { ra; callee; return_to },
                         (RCall { ra = ra'; target; resume } |
                          RCall_stub { ra = ra'; target; resume }) ) ->
-                      let through_stub =
-                        match rexit with RCall_stub _ -> true | _ -> false
-                      in
-                      if not (Reg.equal ra ra') then begin
-                        mismatch ();
-                        false
-                      end
-                      else if not (target_matches (resolve target) (callee, 0))
-                      then begin
-                        bfail "call to %s lands on %a at slot %d" callee pp_target
-                          (resolve target) slot;
-                        false
-                      end
-                      else if not (continuation_ok resume return_to) then begin
-                        bfail
-                          "call to %s resumes at buffer word %d, not at \
-                           .%d's first word"
-                          callee resume return_to;
-                        false
-                      end
-                      else begin
-                        (* A raw (stub-less) return address into the buffer
-                           relies on the callee keeping this region
-                           resident — the buffer-safety contract the
-                           linter's unsafe-call check enforces. *)
-                        if not through_stub then incr conservative;
-                        true
-                      end
+                      if not (Reg.equal ra ra') then mismatch ()
+                      else
+                        let* () =
+                          lands (Printf.sprintf "call to %s" callee) target (callee, 0)
+                        in
+                        if not (continuation_ok resume return_to) then
+                          err "call to %s resumes at buffer word %d, not at .%d's \
+                               first word"
+                            callee resume return_to
+                        else begin
+                          (* A raw (stub-less) return address into the buffer
+                             relies on the callee keeping this region
+                             resident — the buffer-safety contract the
+                             linter's unsafe-call check enforces. *)
+                          (match rexit with RCall _ -> incr conservative | _ -> ());
+                          Ok ()
+                        end
                     | ( Equiv.Call_ind { ra; target = v; return_to },
                         RCalli_stub { ra = ra'; rb; target = v'; resume } ) ->
-                      if not (Reg.equal ra ra') then begin
-                        mismatch ();
-                        false
-                      end
-                      else if Reg.equal ra rb then begin
-                        bfail
-                          "indirect call target register %s is the link \
-                           register CreateStub clobbers"
-                          (Reg.name rb);
-                        false
-                      end
-                      else if not (Equiv.equal_value oracle v v') then begin
-                        mismatch ();
-                        false
-                      end
-                      else if not (continuation_ok resume return_to) then begin
-                        bfail "indirect call resumes at buffer word %d, not .%d"
-                          resume return_to;
-                        false
-                      end
+                      if not (Reg.equal ra ra') || not (Equiv.equal_value oracle v v')
+                      then mismatch ()
+                      else if Reg.equal ra rb then
+                        err
+                          "indirect call target register %s is the link register \
+                           CreateStub clobbers"
+                          (Reg.name rb)
+                      else if not (continuation_ok resume return_to) then
+                        err "indirect call resumes at buffer word %d, not .%d" resume
+                          return_to
                       else begin
                         (* Target-set correspondence is assumed, not proved. *)
                         incr conservative;
-                        true
+                        Ok ()
                       end
                     | Equiv.Jump_tab { target = v; table = _ }, RJump v' ->
                       if Equiv.equal_value oracle v v' then begin
                         (* The dispatched table entries themselves are the
                            linter's dangling-transfer obligation. *)
                         incr conservative;
-                        true
+                        Ok ()
                       end
-                      else begin
-                        mismatch ();
-                        false
-                      end
+                      else mismatch ()
                     | Equiv.Return v, RRet v' ->
-                      if Equiv.equal_value oracle v v' then true
-                      else begin
-                        mismatch ();
-                        false
-                      end
-                    | Equiv.Stop, RFall -> true
-                    | _, _ ->
-                      mismatch ();
-                      false
+                      if Equiv.equal_value oracle v v' then Ok () else mismatch ()
+                    | Equiv.Stop, RFall -> Ok ()
+                    | _, _ -> mismatch ()
                   in
                   if setjmp_inside then
                     bfail
                       "setjmp inside a compressed region captures a buffer pc \
                        that re-materialisation invalidates"
-                  else if exit_ok then
-                    match Equiv.compare_states oracle ~orig ~rew:st with
-                    | Ok () -> incr proved
-                    | Error msg -> bfail "state diverges at slot %d:@,%s" slot msg))
+                  else
+                    match check_exit () with
+                    | Error msg -> bfail "%s" msg
+                    | Ok () -> (
+                      match Equiv.compare_states oracle ~orig ~rew:st with
+                      | Ok () -> incr proved
+                      | Error msg -> bfail "state diverges:@,%s" msg)))
             done
         done)
     sq.Rewrite.regions.Regions.regions;
@@ -513,18 +368,10 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
     slots;
     blocks = !blocks;
     proved = !proved;
-    stubs = !stubs;
+    stubs;
     conservative = !conservative;
-    failures = List.rev !failures;
+    failures = stub_failures @ List.rev !failures;
   }
-
-let failure_message f =
-  let first =
-    match String.index_opt f.reason '\n' with
-    | None -> f.reason
-    | Some i -> String.sub f.reason 0 i
-  in
-  Printf.sprintf "region %d slot %d @ %s: %s" f.rid f.slot f.site first
 
 let render r =
   match r.failures with
@@ -533,26 +380,7 @@ let render r =
       "proved %d/%d block proofs across %d regions x %d slots (%d stub \
        obligations, %d conservative assumptions)"
       r.proved r.blocks r.regions r.slots r.stubs r.conservative
-  | fs ->
-    String.concat "\n"
-      (List.map
-         (fun f ->
-           Printf.sprintf "UNPROVED region %d slot %d @ %s:\n%s" f.rid f.slot
-             f.site f.reason)
-         fs)
-
-let to_diags r =
-  List.map
-    (fun f ->
-      {
-        Verify.severity = Verify.Error;
-        kind = Verify.Unproved_region;
-        site = f.site;
-        region = (if f.rid >= 0 then Some f.rid else None);
-        addr = None;
-        message = failure_message f;
-      })
-    r.failures
+  | fs -> String.concat "\n" (List.map (fun d -> "UNPROVED " ^ Verify.message d) fs)
 
 let report_json r =
   let open Report.Json in
@@ -564,16 +392,5 @@ let report_json r =
       ("proved", Int r.proved);
       ("stubs", Int r.stubs);
       ("conservative", Int r.conservative);
-      ( "failures",
-        List
-          (List.map
-             (fun f ->
-               Obj
-                 [
-                   ("region", Int f.rid);
-                   ("slot", Int f.slot);
-                   ("site", String f.site);
-                   ("reason", String f.reason);
-                 ])
-             r.failures) );
+      ("failures", Verify.to_json r.failures);
     ]

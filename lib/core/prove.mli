@@ -1,27 +1,28 @@
 (** Per-region translation validation of a squashed image
-    ([squashc prove]).
+    ([squashc prove]): the prove level of the image gate ({!Verify}).
 
     For every compressed region, every cache slot the runtime may
     materialise it into, and every block of the region, the prover:
 
     + decodes the region's slice of the blob with the image's actual
-      coder ({!Compress.decode_region});
-    + materialises the decoded stream for the slot exactly as the
-      runtime decompressor would — marker expansion through CreateStub,
-      slot-relative displacement rebiasing, instruction re-encoding (a
-      rebias that overflows its field is caught here, statically);
+      coder ({!Verify.decode}, the gate's own decode);
+    + materialises the decoded stream for the slot through
+      {!Rewrite.materialise}, the function the runtime decompressor
+      calls — marker expansion through CreateStub, slot-relative
+      displacement rebiasing — and re-encodes every word, so a rebias
+      that overflows its field is caught here, statically;
     + symbolically executes the original IR block and its materialised
       counterpart over the {!Equiv} word-level domain, and
     + proves that registers, observable effects (stores and system
       calls) and the typed exit match: branch targets resolve to the
-      same block (through the buffer for intra-region edges, through
-      {!Rewrite.block_addrs} for external ones), calls name the same
-      callee with the continuation landing on [return_to]'s first word,
-      and expanded calls follow the CreateStub protocol shape.
+      same block (through the buffer offset for intra-region edges,
+      through {!Rewrite.block_addrs} for external ones), calls name the
+      same callee with the continuation landing on [return_to]'s first
+      word, and expanded calls follow the CreateStub protocol shape.
 
-    Entry stubs are validated against the same obligations as
-    {!Verify.Bad_stub}/{!Verify.Live_stub_reg}, with the dead-register
-    fact re-derived from the independent {!Dataflow.Liveness} solver.
+    Entry stubs are checked once, by the gate's own stub check
+    ({!Verify.stubs}), with the dead-register fact from the independent
+    {!Dataflow.Liveness} solver.
 
     What is {e assumed} rather than proved (each occurrence is counted
     in [conservative]; see DESIGN.md §6c): the runtime hook contracts
@@ -33,18 +34,12 @@
 
 type fault =
   | Rebias_delta of int
-      (** Test-only fault injection: skew the external-target rebias
-          delta by this many words for every slot above 0, modelling a
-          decompressor that re-aims external displacements wrongly.  The
-          prover must then fail on any region with an external transfer
-          proved at slot 1 or higher. *)
-
-type failure = {
-  rid : int;
-  slot : int;  (** Cache slot index the proof was attempted for. *)
-  site : string;  (** ["func.b3"] or ["region 2"] for region-level failures. *)
-  reason : string;  (** Human-readable divergence trace (multi-line). *)
-}
+      (** Test-only fault injection: skew the [delta] passed to
+          {!Rewrite.materialise} by this many words for every slot above
+          0, modelling a decompressor that re-aims external displacements
+          wrongly.  The prover must then fail on any region with an
+          external transfer proved at slot 1 or higher, and still prove
+          slot 0. *)
 
 type report = {
   regions : int;
@@ -53,7 +48,12 @@ type report = {
   proved : int;  (** Block proofs discharged. *)
   stubs : int;  (** Entry-stub obligation sets discharged. *)
   conservative : int;  (** Assumption applications (see above). *)
-  failures : failure list;
+  failures : Verify.diag list;
+      (** Stub diagnostics ({!Verify.Bad_stub}, {!Verify.Live_stub_reg}),
+          streams that do not decode ({!Verify.Stream_mismatch}), and one
+          {!Verify.Unproved_region} per block or region that failed at a
+          slot, with the slot in its [site] (["main.b3 slot 1"]) and the
+          divergence trace in its [message]. *)
 }
 
 val run : ?slots:int -> ?fault:fault -> Rewrite.t -> report
@@ -61,15 +61,8 @@ val run : ?slots:int -> ?fault:fault -> Rewrite.t -> report
     (default 1).  Self-contained: decodes from the blob, re-derives
     liveness, and resolves addresses through the image's own maps. *)
 
-val failure_message : failure -> string
-(** One-line summary (the full [reason] is multi-line). *)
-
 val render : report -> string
 (** Failures with their divergence traces, or a one-line success
     summary. *)
-
-val to_diags : report -> Verify.diag list
-(** Each failure as an [Error]-severity {!Verify.Unproved_region}
-    diagnostic, feeding the prover into the verifier's typed stream. *)
 
 val report_json : report -> Report.Json.t

@@ -1,11 +1,5 @@
-type image_word =
-  | Plain of Instr.t
-  | Expand_call of { ra : Reg.t; br_disp : int }
-  | Expand_calli of { ra : Reg.t; rb : Reg.t }
-
 type region_image = {
   rid : int;
-  words : image_word list;
   buffer_words : int;
   stream : Instr.t list;
   block_offset : (string * int, int) Hashtbl.t;
@@ -50,6 +44,44 @@ let default_max_stubs = 32
 let decomp_entry t r = t.decomp_base + (4 * r)
 let decomp_entry_push t = t.decomp_base + (4 * Reg.count)
 let create_stub_entry t r = t.decomp_base + (4 * (Reg.count + 1)) + (4 * r)
+
+let is_marker = function
+  | Instr.Bsrx _ | Instr.Jsr { hint = 1; _ } -> true
+  | _ -> false
+
+let materialise t stream ~base ~delta ~put =
+  let pos = ref 0 in
+  let emit ins =
+    put !pos ins;
+    incr pos
+  in
+  (* Displacement for an instruction being placed at position !pos. *)
+  let pc_rel_to target = (target - (base + (4 * (!pos + 1)))) asr 2 in
+  let rebias disp =
+    (* Stream displacements were computed for a slot-0 materialisation
+       ([pc_rel] in {!build}).  Intra-region targets move with the buffer,
+       so their relative displacement is unchanged; external targets (text,
+       the runtime entry points) sit below the buffer area and must be
+       re-aimed from this slot's base. *)
+    let target0 = t.buffer_base + (4 * (!pos + 1)) + (4 * disp) in
+    if target0 >= t.buffer_base then disp else disp - delta
+  in
+  List.iter
+    (fun ins ->
+      match ins with
+      | Instr.Bsrx { ra; disp } ->
+        (* Expand: bsr ra, CreateStub(ra) ; br zero, disp. *)
+        emit (Instr.Bsr { ra; disp = pc_rel_to (create_stub_entry t ra) });
+        emit (Instr.Br { ra = Reg.zero; disp = rebias disp })
+      | Instr.Jsr { ra; rb; hint = 1 } ->
+        emit (Instr.Bsr { ra; disp = pc_rel_to (create_stub_entry t ra) });
+        emit (Instr.Jmp { ra = Reg.zero; rb; hint = 0 })
+      | Instr.Br { ra; disp } -> emit (Instr.Br { ra; disp = rebias disp })
+      | Instr.Cbr { op; ra; disp } -> emit (Instr.Cbr { op; ra; disp = rebias disp })
+      | Instr.Bsr { ra; disp } -> emit (Instr.Bsr { ra; disp = rebias disp })
+      | ins -> emit ins)
+    stream;
+  !pos
 
 (* ------------------------------------------------------------------ *)
 (* Per-block buffer plan. *)
@@ -310,41 +342,35 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
   in
   let images =
     Array.mapi
-      (fun rid (r : Regions.region) ->
+      (fun rid _ ->
         let block_offset, buffer_words, ops = layouts.(rid) in
         let pos = ref 0 in
-        let words = ref [] in
         let stream = ref [] in
-        let push_plain ins =
-          words := Plain ins :: !words;
+        let push ins =
           stream := ins :: !stream;
-          incr pos
+          pos := !pos + if is_marker ins then 2 else 1
         in
         let target_addr = function
           | `Intra (fname, d) -> buffer_base + (4 * Hashtbl.find block_offset (fname, d))
           | `Ext (fname, d) -> addr_of (fname, d)
         in
+        let load_addr rg a =
+          let hi, lo = Easm.split_addr a in
+          push (Instr.Ldah { ra = rg; rb = Reg.zero; disp = hi });
+          push (Instr.Lda { ra = rg; rb = rg; disp = lo })
+        in
         List.iter
           (fun op ->
             match op with
-            | BInstr ins -> push_plain ins
-            | BLoad_func (rg, g) ->
-              let a = addr_of (g, 0) in
-              let hi, lo = Easm.split_addr a in
-              push_plain (Instr.Ldah { ra = rg; rb = Reg.zero; disp = hi });
-              push_plain (Instr.Lda { ra = rg; rb = rg; disp = lo })
-            | BLoad_table (rg, key) ->
-              let a = table_addr_of key in
-              let hi, lo = Easm.split_addr a in
-              push_plain (Instr.Ldah { ra = rg; rb = Reg.zero; disp = hi });
-              push_plain (Instr.Lda { ra = rg; rb = rg; disp = lo })
+            | BInstr ins -> push ins
+            | BLoad_func (rg, g) -> load_addr rg (addr_of (g, 0))
+            | BLoad_table (rg, key) -> load_addr rg (table_addr_of key)
             | BBr (ra, dst) ->
-              push_plain (Instr.Br { ra; disp = pc_rel ~word_index:!pos (target_addr dst) })
+              push (Instr.Br { ra; disp = pc_rel ~word_index:!pos (target_addr dst) })
             | BCbr (c, ra, dst) ->
-              push_plain
-                (Instr.Cbr { op = c; ra; disp = pc_rel ~word_index:!pos (target_addr dst) })
+              push (Instr.Cbr { op = c; ra; disp = pc_rel ~word_index:!pos (target_addr dst) })
             | BCall_direct (ra, `Intra g) ->
-              push_plain
+              push
                 (Instr.Bsr
                    {
                      ra;
@@ -353,31 +379,19 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
                          (buffer_base + (4 * Hashtbl.find block_offset (g, 0)));
                    })
             | BCall_direct (ra, `Addr g) ->
-              push_plain (Instr.Bsr { ra; disp = pc_rel ~word_index:!pos (addr_of (g, 0)) })
+              push (Instr.Bsr { ra; disp = pc_rel ~word_index:!pos (addr_of (g, 0)) })
             | BCall_expand (ra, g) ->
               (* Materialised as two words: [bsr ra, CS(ra)] then
                  [br zero, target]; the stream stores the br's displacement
                  in a Bsrx marker. *)
               let br_disp = pc_rel ~word_index:(!pos + 1) (addr_of (g, 0)) in
-              words := Expand_call { ra; br_disp } :: !words;
-              stream := Instr.Bsrx { ra; disp = br_disp } :: !stream;
-              pos := !pos + 2
-            | BCalli_expand (ra, rb) ->
-              words := Expand_calli { ra; rb } :: !words;
-              stream := Instr.Jsr { ra; rb; hint = 1 } :: !stream;
-              pos := !pos + 2
-            | BJmp rb -> push_plain (Instr.Jmp { ra = Reg.zero; rb; hint = 0 })
-            | BRet rb -> push_plain (Instr.Ret { ra = Reg.zero; rb; hint = 0 }))
+              push (Instr.Bsrx { ra; disp = br_disp })
+            | BCalli_expand (ra, rb) -> push (Instr.Jsr { ra; rb; hint = 1 })
+            | BJmp rb -> push (Instr.Jmp { ra = Reg.zero; rb; hint = 0 })
+            | BRet rb -> push (Instr.Ret { ra = Reg.zero; rb; hint = 0 }))
           ops;
         if !pos <> buffer_words then failwith "Rewrite.build: image size mismatch";
-        ignore r;
-        {
-          rid;
-          words = List.rev !words;
-          buffer_words;
-          stream = List.rev !stream;
-          block_offset;
-        })
+        { rid; buffer_words; stream = List.rev !stream; block_offset })
       regions.Regions.regions
   in
   (* Phase 4: compress. *)

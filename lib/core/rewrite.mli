@@ -21,20 +21,15 @@
     the block entry; when none exists the 3-word push form is used
     (paper, Section 2.3). *)
 
-type image_word =
-  | Plain of Instr.t  (** 1 word in the stream, 1 in the buffer. *)
-  | Expand_call of { ra : Reg.t; br_disp : int }
-      (** Stored as [Bsrx] (1 word); materialised as
-          [bsr ra, CreateStub ; br +br_disp] (2 words). *)
-  | Expand_calli of { ra : Reg.t; rb : Reg.t }
-      (** Stored as [Jsr ~hint:1]; materialised as
-          [bsr ra, CreateStub ; jmp (rb)]. *)
-
 type region_image = {
   rid : int;
-  words : image_word list;
   buffer_words : int;  (** Total buffer words needed (expansions counted). *)
-  stream : Instr.t list;  (** The marker form fed to the compressor. *)
+  stream : Instr.t list;
+      (** The region's code in marker form, as fed to the compressor: one
+          instruction per buffer word, except that an expanding call is one
+          marker that {!materialise} turns into two words — a [Bsrx]
+          becomes [bsr ra, CreateStub ; br disp], a [Jsr] with hint 1
+          becomes [bsr ra, CreateStub ; jmp (rb)]. *)
   block_offset : (string * int, int) Hashtbl.t;
 }
 
@@ -83,6 +78,21 @@ val decomp_entry : t -> Reg.t -> int
 
 val decomp_entry_push : t -> int
 val create_stub_entry : t -> Reg.t -> int
+
+val is_marker : Instr.t -> bool
+(** [Bsrx] and [Jsr] with hint 1: the stream words that materialise as
+    two buffer words. *)
+
+val materialise :
+  t -> Instr.t list -> base:int -> delta:int -> put:(int -> Instr.t -> unit) -> int
+(** [materialise t stream ~base ~delta ~put] lays a region's decoded
+    stream out for a buffer slot starting at byte address [base]: markers
+    expand through the CreateStub entries, and every pc-relative
+    displacement that leaves the buffer is re-aimed by [delta] words (the
+    slot's offset from slot 0, [buffer_words * slot]).  [put i ins]
+    receives buffer word [i]; the result is the number of words put.  The
+    runtime decompressor encodes each word into VM memory, and the prover
+    executes them symbolically, so both see the same code. *)
 
 val blob_base : int
 val stub_base : int

@@ -145,57 +145,22 @@ let decompress st vm rid ~slot =
     Compress.decode_region sq.Rewrite.codes sq.Rewrite.blob
       ~bit_offset:offsets.(rid) ?bit_end ()
   in
-  let pos = ref 0 in
-  let put w =
-    Vm.store_word vm (base + (4 * !pos)) w;
-    incr pos
+  let words =
+    Rewrite.materialise sq instrs ~base ~delta:(sq.Rewrite.buffer_words * slot)
+      ~put:(fun i ins -> Vm.store_word vm (base + (4 * i)) (Instr.encode ins))
   in
-  let pc_rel_to target =
-    (* Displacement for an instruction being placed at position !pos. *)
-    (target - (base + (4 * (!pos + 1)))) asr 2
-  in
-  let delta = sq.Rewrite.buffer_words * slot in
-  let rebias disp =
-    (* Stream displacements were computed for a slot-0 materialisation
-       (Rewrite's [pc_rel]).  Intra-region targets move with the buffer, so
-       their relative displacement is unchanged; external targets (text,
-       the runtime entry points) sit below the buffer area and must be
-       re-aimed from this slot's base. *)
-    let target0 = sq.Rewrite.buffer_base + (4 * (!pos + 1)) + (4 * disp) in
-    if target0 >= sq.Rewrite.buffer_base then disp else disp - delta
-  in
-  List.iter
-    (fun ins ->
-      match ins with
-      | Instr.Bsrx { ra; disp } ->
-        (* Expand: bsr ra, CreateStub(ra) ; br zero, disp. *)
-        put
-          (Instr.encode
-             (Instr.Bsr { ra; disp = pc_rel_to (Rewrite.create_stub_entry sq ra) }));
-        put (Instr.encode (Instr.Br { ra = Reg.zero; disp = rebias disp }))
-      | Instr.Jsr { ra; rb; hint = 1 } ->
-        put
-          (Instr.encode
-             (Instr.Bsr { ra; disp = pc_rel_to (Rewrite.create_stub_entry sq ra) }));
-        put (Instr.encode (Instr.Jmp { ra = Reg.zero; rb; hint = 0 }))
-      | Instr.Br { ra; disp } -> put (Instr.encode (Instr.Br { ra; disp = rebias disp }))
-      | Instr.Cbr { op; ra; disp } ->
-        put (Instr.encode (Instr.Cbr { op; ra; disp = rebias disp }))
-      | Instr.Bsr { ra; disp } -> put (Instr.encode (Instr.Bsr { ra; disp = rebias disp }))
-      | ins -> put (Instr.encode ins))
-    instrs;
   st.cache.(slot).rid <- rid;
   st.region_slot.(rid) <- slot;
   st.stats.decompressions <- st.stats.decompressions + 1;
   st.stats.bits_decoded <- st.stats.bits_decoded + bits;
   st.stats.model_steps <- st.stats.model_steps + steps;
-  st.stats.words_materialised <- st.stats.words_materialised + !pos;
+  st.stats.words_materialised <- st.stats.words_materialised + words;
   st.stats.per_region.(rid) <- st.stats.per_region.(rid) + 1;
   let charged =
     st.cost.Cost.decomp_invoke
     + (bits * st.cost.Cost.decomp_per_bit)
     + (steps * st.cost.Cost.decomp_per_step)
-    + (!pos * st.cost.Cost.decomp_per_instr)
+    + (words * st.cost.Cost.decomp_per_instr)
     + st.cost.Cost.icache_flush
   in
   st.stats.per_region_cycles.(rid) <- st.stats.per_region_cycles.(rid) + charged;
@@ -207,12 +172,12 @@ let decompress st vm rid ~slot =
     Obs.event o
       { ts = Obs.Event.Cycles now;
         payload =
-          Obs.Event.Decomp_end { region = rid; bits; words = !pos; cycles = charged } };
+          Obs.Event.Decomp_end { region = rid; bits; words; cycles = charged } };
     Obs.incr o "runtime.decompressions";
     Obs.incr o "runtime.cache_misses";
     Obs.incr o ~by:bits "runtime.bits_decoded";
     Obs.incr o ~by:steps "runtime.model_steps";
-    Obs.incr o ~by:!pos "runtime.words_materialised";
+    Obs.incr o ~by:words "runtime.words_materialised";
     if st.last_decomp_end >= 0 then
       Obs.observe o "runtime.decomp_interarrival_cycles" (now - st.last_decomp_end);
     st.last_decomp_end <- now

@@ -66,11 +66,12 @@ val run :
     the program's [Sys setjmp] instructions, so the argument is only needed
     for call sites hidden behind indirection.
 
-    [check_each] validates the IR (and, once built, the squashed image)
-    after every pass and raises {!Pipeline.Check_failed} naming the pass
-    that broke an invariant.  [lint] appends {!Pipeline.lint_pass}, running
-    the whole-image static verifier ({!Verify}) over the finished image and
-    raising {!Pipeline.Check_failed} as pass ["lint"] on any error-severity
+    The three flags below are the levels of the image gate ({!Verify}).
+    [check_each] validates the IR (and, once built, the squashed image's
+    structure) after every pass and raises {!Pipeline.Check_failed} naming
+    the pass that broke an invariant.  [lint] appends {!Pipeline.lint_pass}
+    ({!Verify.run} over the finished image), raising
+    {!Pipeline.Check_failed} as pass ["lint"] on any error-severity
     diagnostic.  [prove] appends {!Pipeline.prove_pass}, the symbolic
     equivalence prover ({!Prove}) over two cache slots, raising
     {!Pipeline.Check_failed} as pass ["prove"] on any unproved region.

@@ -9,6 +9,7 @@ type kind =
   | Stream_mismatch
   | Unreachable_code
   | Unproved_region
+  | Bad_layout
 
 type diag = {
   severity : severity;
@@ -28,6 +29,7 @@ let kind_name = function
   | Stream_mismatch -> "stream-mismatch"
   | Unreachable_code -> "unreachable-code"
   | Unproved_region -> "unproved-region"
+  | Bad_layout -> "bad-layout"
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 
@@ -36,6 +38,189 @@ let message d =
     d.site d.message
 
 let errors diags = List.filter (fun d -> d.severity = Error) diags
+
+(* Every check appends to an accumulator, newest first. *)
+let add acc ?region ?addr severity kind site fmt =
+  Format.kasprintf
+    (fun message -> acc := { severity; kind; site; region; addr; message } :: !acc)
+    fmt
+
+let block_site (fname, i) = Printf.sprintf "%s.b%d" fname i
+
+(* --- layout: offset table, buffer fit, footprint sum ------------------ *)
+
+let check_layout acc (sq : Rewrite.t) =
+  let nregions = Array.length sq.Rewrite.images in
+  let offsets = sq.Rewrite.blob_offsets in
+  let blob_bits = 8 * String.length sq.Rewrite.blob in
+  let site = "offset table" in
+  if Array.length offsets <> nregions then
+    add acc Error Bad_layout site "%d entries for %d regions" (Array.length offsets)
+      nregions;
+  Array.iteri
+    (fun rid off ->
+      if off < 0 || off > blob_bits then
+        add acc ~region:rid Error Bad_layout site
+          "region %d starts at bit %d, outside the %d-bit blob" rid off blob_bits;
+      if rid > 0 && off < offsets.(rid - 1) then
+        add acc ~region:rid Error Bad_layout site "not sorted at region %d" rid)
+    offsets;
+  Array.iter
+    (fun (img : Rewrite.region_image) ->
+      if img.Rewrite.buffer_words + 2 > sq.Rewrite.buffer_words then
+        add acc ~region:img.Rewrite.rid Error Bad_layout
+          (Printf.sprintf "region %d" img.Rewrite.rid)
+          "needs %d buffer words, the buffer holds %d" img.Rewrite.buffer_words
+          (sq.Rewrite.buffer_words - 2))
+    sq.Rewrite.images;
+  let parts =
+    Rewrite.never_compressed_words sq + Rewrite.offset_table_words sq
+    + Rewrite.blob_words sq + Rewrite.code_table_words sq
+    + (sq.Rewrite.max_stubs * 4) + sq.Rewrite.buffer_words
+  in
+  if parts <> Rewrite.total_words sq then
+    add acc Error Bad_layout "footprint" "parts sum to %d words, total_words says %d"
+      parts (Rewrite.total_words sq)
+
+(* --- entry stubs: decode, target, tag, dead register ------------------ *)
+
+let text_word (sq : Rewrite.t) addr =
+  let text = sq.Rewrite.text.Easm.words in
+  let idx = (addr - sq.Rewrite.text.Easm.base) / 4 in
+  if addr land 3 <> 0 || idx < 0 || idx >= Array.length text then None
+  else Some text.(idx)
+
+(* Returns how many stubs discharged every obligation. *)
+let check_stubs acc (sq : Rewrite.t) =
+  let live_cache = Hashtbl.create 16 in
+  let live_in fname i =
+    let lv =
+      match Hashtbl.find_opt live_cache fname with
+      | Some lv -> lv
+      | None ->
+        let f = Option.get (Prog.find_func sq.Rewrite.prog fname) in
+        let lv = Dataflow.Liveness.solve f in
+        Hashtbl.replace live_cache fname lv;
+        lv
+    in
+    lv.Cfg.live_in.(i)
+  in
+  let nregions = Array.length sq.Rewrite.images in
+  let check_tag ~site ((fname, i) as key) addr =
+    match text_word sq addr with
+    | None -> add acc ~addr Error Bad_stub site "tag word at 0x%x lies outside the text" addr
+    | Some tag -> (
+      let rid = tag lsr 16 and off = tag land 0xFFFF in
+      if rid >= nregions then
+        add acc ~addr Error Bad_stub site "tag names region %d, image has %d" rid nregions
+      else
+        match Hashtbl.find_opt sq.Rewrite.images.(rid).Rewrite.block_offset key with
+        | None ->
+          add acc ~region:rid ~addr Error Bad_stub site
+            "block %s.%d is not laid out in region %d" fname i rid
+        | Some expect ->
+          if expect <> off then
+            add acc ~region:rid ~addr Error Bad_stub site
+              "tag offset %d is not the block's instruction boundary %d in region %d" off
+              expect rid)
+  in
+  let check_stub_reg ~site ~addr (fname, i) rf =
+    if rf = Reg.sp || rf = Reg.zero then
+      add acc ~addr Error Live_stub_reg site "stub uses reserved register %s" (Reg.name rf)
+    else if Cfg.Regset.mem rf (live_in fname i) then
+      add acc ~addr Error Live_stub_reg site
+        "stub return-address register %s is live at the block entry" (Reg.name rf)
+  in
+  let discharged = ref 0 in
+  List.iter
+    (fun (key, addr) ->
+      let site = block_site key in
+      let before = !acc in
+      (match Option.map Instr.decode (text_word sq addr) with
+      | None -> add acc ~addr Error Bad_stub site "stub address 0x%x outside the text" addr
+      | Some (Ok (Instr.Bsr { ra; disp })) ->
+        let target = addr + 4 + (4 * disp) in
+        if target <> Rewrite.decomp_entry sq ra then
+          add acc ~addr Error Bad_stub site
+            "bsr targets 0x%x, not the decompressor entry for %s" target (Reg.name ra)
+        else begin
+          check_tag ~site key (addr + 4);
+          check_stub_reg ~site ~addr key ra
+        end
+      | Some (Ok (Instr.Mem { op = Instr.Stw; ra; rb; disp = -4 }))
+        when rb = Reg.sp && ra = Reg.ra -> (
+        match Option.map Instr.decode (text_word sq (addr + 4)) with
+        | None -> add acc ~addr Error Bad_stub site "truncated push-form stub"
+        | Some (Ok (Instr.Bsr { ra = ra2; disp })) ->
+          let target = addr + 8 + (4 * disp) in
+          if ra2 <> Reg.ra then
+            add acc ~addr Error Bad_stub site "push form links through %s, not ra"
+              (Reg.name ra2)
+          else if target <> Rewrite.decomp_entry_push sq then
+            add acc ~addr Error Bad_stub site "push form targets 0x%x, not the push entry"
+              target
+          else check_tag ~site key (addr + 8)
+        | Some (Ok _ | Error _) ->
+          add acc ~addr Error Bad_stub site "push form lacks its bsr word")
+      | Some (Ok _ | Error _) ->
+        add acc ~addr Error Bad_stub site "stub does not start with a bsr or a push of ra");
+      if !acc == before then incr discharged)
+    sq.Rewrite.stub_addrs;
+  !discharged
+
+let stubs sq =
+  let acc = ref [] in
+  let discharged = check_stubs acc sq in
+  (List.rev !acc, discharged)
+
+(* --- compressed streams ------------------------------------------------ *)
+
+let decode (sq : Rewrite.t) rid =
+  let fail fmt =
+    Format.kasprintf
+      (fun message ->
+        Stdlib.Error
+          { severity = Error; kind = Stream_mismatch; site = Printf.sprintf "region %d" rid;
+            region = Some rid; addr = None; message })
+      fmt
+  in
+  let offsets = sq.Rewrite.blob_offsets in
+  match
+    let bit_end = if rid + 1 < Array.length offsets then Some offsets.(rid + 1) else None in
+    Compress.decode_region sq.Rewrite.codes sq.Rewrite.blob ~bit_offset:offsets.(rid)
+      ?bit_end ()
+  with
+  | exception (Bitio.Corrupt_stream msg | Failure msg) -> fail "stream does not decode: %s" msg
+  | exception Invalid_argument msg -> fail "stream reads past its end: %s" msg
+  | _, work when work.Compress.bits < 0 || work.Compress.steps < 0 ->
+    fail "decoder reported negative work (%d bits, %d steps)" work.Compress.bits
+      work.Compress.steps
+  | decoded, _ -> Ok decoded
+
+let check_streams acc (sq : Rewrite.t) =
+  Array.iteri
+    (fun rid (img : Rewrite.region_image) ->
+      match decode sq rid with
+      | Stdlib.Error d -> acc := d :: !acc
+      | Ok decoded ->
+        if not (List.equal Instr.equal decoded img.Rewrite.stream) then
+          add acc ~region:rid Error Stream_mismatch (Printf.sprintf "region %d" rid)
+            "decoded stream disagrees with the region image (%d vs %d instructions)"
+            (List.length decoded)
+            (List.length img.Rewrite.stream))
+    sq.Rewrite.images
+
+let check_structure acc sq =
+  check_layout acc sq;
+  ignore (check_stubs acc sq);
+  check_streams acc sq
+
+let structure sq =
+  let acc = ref [] in
+  check_structure acc sq;
+  List.rev !acc
+
+(* --- the semantic checks ------------------------------------------------ *)
 
 (* Block reachability as a forward {!Dataflow} client over a boolean
    lattice: the entry block starts [true] and reachability propagates
@@ -56,11 +241,10 @@ let reachable_blocks f =
   r.Reach.before
 
 let run (sq : Rewrite.t) =
-  let diags = ref [] in
+  let acc = ref [] in
+  check_structure acc sq;
   let diag ?region ?addr severity kind site fmt =
-    Format.kasprintf
-      (fun message -> diags := { severity; kind; site; region; addr; message } :: !diags)
-      fmt
+    add acc ?region ?addr severity kind site fmt
   in
   let p = sq.Rewrite.prog in
   let regions = sq.Rewrite.regions in
@@ -84,98 +268,6 @@ let run (sq : Rewrite.t) =
     p.Prog.funcs;
   let fully_in name = Hashtbl.find_opt fully_in_tbl name in
 
-  (* --- entry stubs: decode, target, tag, dead register -------------- *)
-  let text = sq.Rewrite.text.Easm.words in
-  let base = sq.Rewrite.text.Easm.base in
-  let word_at addr =
-    let idx = (addr - base) / 4 in
-    if addr land 3 <> 0 || idx < 0 || idx >= Array.length text then None
-    else Some text.(idx)
-  in
-  let live_cache = Hashtbl.create 16 in
-  let live_in fname i =
-    let lv =
-      match Hashtbl.find_opt live_cache fname with
-      | Some lv -> lv
-      | None ->
-        let lv = Dataflow.Liveness.solve (Hashtbl.find func_of fname) in
-        Hashtbl.replace live_cache fname lv;
-        lv
-    in
-    lv.Cfg.live_in.(i)
-  in
-  let nregions = Array.length sq.Rewrite.images in
-  let check_tag ~site ((fname, i) as key) addr =
-    match word_at addr with
-    | None ->
-      diag ~addr Error Bad_stub site "tag word at 0x%x lies outside the text" addr
-    | Some tag ->
-      let rid = tag lsr 16 and off = tag land 0xFFFF in
-      if rid >= nregions then
-        diag ~addr Error Bad_stub site "tag names region %d, image has %d" rid
-          nregions
-      else
-        let img = sq.Rewrite.images.(rid) in
-        (match Hashtbl.find_opt img.Rewrite.block_offset key with
-        | None ->
-          diag ~region:rid ~addr Error Bad_stub site
-            "block %s.%d is not laid out in region %d" fname i rid
-        | Some expect ->
-          if expect <> off then
-            diag ~region:rid ~addr Error Bad_stub site
-              "tag offset %d is not the block's instruction boundary %d in \
-               region %d"
-              off expect rid)
-  in
-  let check_stub_reg ~site ~addr (fname, i) rf =
-    if rf = Reg.sp || rf = Reg.zero then
-      diag ~addr Error Live_stub_reg site "stub uses reserved register %s"
-        (Reg.name rf)
-    else if Cfg.Regset.mem rf (live_in fname i) then
-      diag ~addr Error Live_stub_reg site
-        "stub return-address register %s is live at the block entry"
-        (Reg.name rf)
-  in
-  List.iter
-    (fun (((fname, i) as key), addr) ->
-      let site = Printf.sprintf "%s.b%d" fname i in
-      match word_at addr with
-      | None ->
-        diag ~addr Error Bad_stub site "stub address 0x%x outside the text" addr
-      | Some w -> (
-        match Instr.decode w with
-        | Ok (Instr.Bsr { ra; disp }) ->
-          let target = addr + 4 + (4 * disp) in
-          if target <> Rewrite.decomp_entry sq ra then
-            diag ~addr Error Bad_stub site
-              "bsr targets 0x%x, not the decompressor entry for %s" target
-              (Reg.name ra)
-          else begin
-            check_tag ~site key (addr + 4);
-            check_stub_reg ~site ~addr key ra
-          end
-        | Ok (Instr.Mem { op = Instr.Stw; ra; rb; disp = -4 })
-          when rb = Reg.sp && ra = Reg.ra -> (
-          match word_at (addr + 4) with
-          | None -> diag ~addr Error Bad_stub site "truncated push-form stub"
-          | Some w2 -> (
-            match Instr.decode w2 with
-            | Ok (Instr.Bsr { ra = ra2; disp }) ->
-              let target = addr + 8 + (4 * disp) in
-              if ra2 <> Reg.ra then
-                diag ~addr Error Bad_stub site "push form links through %s, not ra"
-                  (Reg.name ra2)
-              else if target <> Rewrite.decomp_entry_push sq then
-                diag ~addr Error Bad_stub site
-                  "push form targets 0x%x, not the push entry" target
-              else check_tag ~site key (addr + 8)
-            | Ok _ | Error _ ->
-              diag ~addr Error Bad_stub site "push form lacks its bsr word"))
-        | Ok _ | Error _ ->
-          diag ~addr Error Bad_stub site
-            "stub does not start with a bsr or a push of ra"))
-    sq.Rewrite.stub_addrs;
-
   (* --- no transfer into a removed region's interior ------------------ *)
   let check_target ~site ~same_rid (fname, d) =
     match region_of (fname, d) with
@@ -189,7 +281,7 @@ let run (sq : Rewrite.t) =
     (fun (f : Prog.Func.t) ->
       Array.iteri
         (fun i (b : Prog.Block.t) ->
-          let site = Printf.sprintf "%s.b%d" f.name i in
+          let site = block_site (f.name, i) in
           let rid = region_of (f.name, i) in
           List.iter
             (function
@@ -248,9 +340,9 @@ let run (sq : Rewrite.t) =
     (fun (img : Rewrite.region_image) ->
       let pos = ref 0 in
       List.iter
-        (fun w ->
-          (match w with
-          | Rewrite.Plain (Instr.Bsr { disp; _ }) ->
+        (fun ins ->
+          (match ins with
+          | Instr.Bsr { disp; _ } ->
             let target = sq.Rewrite.buffer_base + (4 * (!pos + 1 + disp)) in
             if not (target >= buf_lo && target < buf_hi) then begin
               let site = Printf.sprintf "region %d @ %d" img.Rewrite.rid !pos in
@@ -267,48 +359,9 @@ let run (sq : Rewrite.t) =
                      the sharpened analysis"
                     g
             end
-          | Rewrite.Plain _ | Rewrite.Expand_call _ | Rewrite.Expand_calli _ ->
-            ());
-          pos :=
-            !pos
-            + (match w with
-              | Rewrite.Plain _ -> 1
-              | Rewrite.Expand_call _ | Rewrite.Expand_calli _ -> 2))
-        img.Rewrite.words)
-    sq.Rewrite.images;
-
-  (* --- every compressed stream decodes back to its region image ------ *)
-  let offsets = sq.Rewrite.blob_offsets in
-  Array.iteri
-    (fun rid (img : Rewrite.region_image) ->
-      let site = Printf.sprintf "region %d" rid in
-      let bit_end =
-        if rid + 1 < Array.length offsets then Some offsets.(rid + 1) else None
-      in
-      match
-        Compress.decode_region sq.Rewrite.codes sq.Rewrite.blob
-          ~bit_offset:offsets.(rid) ?bit_end ()
-      with
-      | exception Bitio.Corrupt_stream msg ->
-        diag ~region:rid Error Stream_mismatch site "stream does not decode: %s"
-          msg
-      | exception Failure msg ->
-        diag ~region:rid Error Stream_mismatch site "stream does not decode: %s"
-          msg
-      | exception Invalid_argument msg ->
-        diag ~region:rid Error Stream_mismatch site
-          "stream reads past its end: %s" msg
-      | decoded, work ->
-        if not (List.equal Instr.equal decoded img.Rewrite.stream) then
-          diag ~region:rid Error Stream_mismatch site
-            "decoded stream disagrees with the region image (%d vs %d \
-             instructions)"
-            (List.length decoded)
-            (List.length img.Rewrite.stream)
-        else if work.Compress.bits < 0 || work.Compress.steps < 0 then
-          diag ~region:rid Error Stream_mismatch site
-            "decoder reported negative work (%d bits, %d steps)"
-            work.Compress.bits work.Compress.steps)
+          | _ -> ());
+          pos := !pos + if Rewrite.is_marker ins then 2 else 1)
+        img.Rewrite.stream)
     sq.Rewrite.images;
 
   (* --- indirect calls with an empty candidate set -------------------- *)
@@ -317,7 +370,7 @@ let run (sq : Rewrite.t) =
       match s.Consts.resolution with
       | `Fallback [] ->
         diag Warning Unresolved_indirect
-          (Printf.sprintf "%s.b%d" s.Consts.caller s.Consts.block)
+          (block_site (s.Consts.caller, s.Consts.block))
           "indirect call with an empty candidate set: no function's address \
            is ever taken"
       | `Exact _ | `Fallback _ -> ())
@@ -362,13 +415,12 @@ let run (sq : Rewrite.t) =
               && region_of (f.name, i) = None
               && emits i
             then
-              diag Warning Unreachable_code
-                (Printf.sprintf "%s.b%d" f.name i)
+              diag Warning Unreachable_code (block_site (f.name, i))
                 "surviving block is unreachable within its function")
           f.blocks)
     p.Prog.funcs;
 
-  List.rev !diags
+  List.rev !acc
 
 let render diags =
   let t =

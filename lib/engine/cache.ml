@@ -4,7 +4,7 @@
    tables inside Canonical.t, cache counters in Runtime.stats; v6:
    alloc_words/major_collections in Pass.stats, marshalled inside every
    Squash.result's pipeline stats). *)
-let schema_version = 6
+let schema_version = 7
 
 let default_dir = "_cache"
 

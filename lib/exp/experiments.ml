@@ -363,13 +363,7 @@ let stubs () =
       let call_sites =
         Array.fold_left
           (fun acc (img : Rewrite.region_image) ->
-            acc
-            + List.length
-                (List.filter
-                   (function
-                     | Rewrite.Expand_call _ | Rewrite.Expand_calli _ -> true
-                     | Rewrite.Plain _ -> false)
-                   img.Rewrite.words))
+            acc + List.length (List.filter Rewrite.is_marker img.Rewrite.stream))
           0 r.Squash.squashed.Rewrite.images
       in
       let never = Rewrite.never_compressed_words r.Squash.squashed in

@@ -194,6 +194,46 @@ let evaluator_tests =
 
 (* --- pristine proofs -------------------------------------------------- *)
 
+(* coldw.b2 only jumps to .3, which is laid out right after it, so it
+   emits no words and shares its buffer offset with .3; .0's taken edge
+   lands on that shared offset. *)
+let zero_word_src =
+  {|
+.entry main
+func main {
+.0:
+  li t0, 5
+  li t1, 7
+  call helper
+.1:
+  if eq a0 goto .3 else .2
+.2:
+  sys exit
+  halt
+.3:
+  call coldw
+.4:
+  goto .2
+}
+func helper {
+.0:
+  add t0, t1, a0
+  ret
+}
+func coldw {
+.0:
+  if eq a0 goto .2 else .1
+.1:
+  add t0, t1, t1
+  goto .3
+.2:
+  goto .3
+.3:
+  add a0, t0, t1
+  ret
+}
+|}
+
 let pristine_tests =
   [
     Alcotest.test_case "the fixture proves clean at slots 1 and 4" `Quick
@@ -216,6 +256,21 @@ let pristine_tests =
         Alcotest.(check bool)
           "image built" true
           (Array.length r.Squash.squashed.Rewrite.images > 0));
+    Alcotest.test_case "a branch to a block that emits no words proves" `Quick
+      (fun () ->
+        let p = parse zero_word_src in
+        let prof, _ = Profile.collect p ~input:"" in
+        let sq = (Squash.run p prof).Squash.squashed in
+        let offset key =
+          Array.find_map
+            (fun (img : Rewrite.region_image) ->
+              Hashtbl.find_opt img.Rewrite.block_offset key)
+            sq.Rewrite.images
+        in
+        (match (offset ("coldw", 2), offset ("coldw", 3)) with
+        | Some a, Some b when a = b -> ()
+        | _ -> Alcotest.fail "coldw.b2 does not share its offset with coldw.b3");
+        ignore (check_clean ~slots:2 sq));
   ]
 
 (* --- corruption corpus ------------------------------------------------ *)
@@ -329,11 +384,11 @@ let rebias_fault_mutants =
     QCheck.(int_range (-16) 16)
     (fun k ->
       QCheck.assume (k <> 0);
-      (* Slot 0 is unaffected by the fault, so it must still prove; any
-         higher slot re-aims every external transfer wrongly. *)
-      let r = Prove.run ~slots:4 ~fault:(Prove.Rebias_delta k) sq in
-      r.Prove.failures <> []
-      && List.for_all (fun f -> f.Prove.slot > 0) r.Prove.failures)
+      (* Slot 0 is unaffected by the fault, so alone it must still prove;
+         any higher slot re-aims every external transfer wrongly. *)
+      let fault = Prove.Rebias_delta k in
+      (Prove.run ~slots:4 ~fault sq).Prove.failures <> []
+      && (Prove.run ~slots:1 ~fault sq).Prove.failures = [])
 
 let corruption_tests =
   [

@@ -302,11 +302,11 @@ let identity_tests =
             let r = Squash.run p prof in
             let sq, _ = manual_squash Squash.default_options p prof in
             check_identical wl.Workload.name r.Squash.squashed sq;
-            match Check.check r.Squash.squashed with
-            | Ok () -> ()
-            | Error es ->
-              Alcotest.failf "%s: image check: %s" wl.Workload.name
-                (String.concat "; " es))
+            match Verify.errors (Verify.run r.Squash.squashed) with
+            | [] -> ()
+            | errs ->
+              Alcotest.failf "%s: image gate: %s" wl.Workload.name
+                (String.concat "; " (List.map Verify.message errs)))
           Workloads.all);
   ]
 

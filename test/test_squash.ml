@@ -364,9 +364,18 @@ int main() {
           [ 64; 128; 256; 512; 2048 ]);
   ]
 
+(* The image gate over [sq]: lint, then prove at two slots. *)
+let gate_diags sq = Verify.run sq @ (Prove.run ~slots:2 sq).Prove.failures
+
+let expect_kinds what kinds diags =
+  if not (List.exists (fun d -> List.mem d.Verify.kind kinds) diags) then
+    Alcotest.failf "%s not detected as %s; got:\n%s" what
+      (String.concat " or " (List.map Verify.kind_name kinds))
+      (Verify.render diags)
+
 let checker_tests =
   [
-    Alcotest.test_case "Check accepts images from every coder and θ" `Quick
+    Alcotest.test_case "gate accepts images from every coder and θ" `Quick
       (fun () ->
         let p = squeeze (compile hot_cold_src) in
         List.iter
@@ -375,30 +384,27 @@ let checker_tests =
               squash ~options:{ Squash.default_options with Squash.theta; coder }
                 ~profile_input:"n" p
             in
-            match Check.check r.Squash.squashed with
-            | Ok () -> ()
-            | Error es ->
-              Alcotest.failf "θ=%g: %s" theta (String.concat "; " es))
+            match Verify.errors (gate_diags r.Squash.squashed) with
+            | [] -> ()
+            | errs -> Alcotest.failf "θ=%g:\n%s" theta (Verify.render errs))
           [ (0.0, `Split_stream); (1.0, `Split_stream); (1.0, `Split_stream_mtf);
             (1.0, `Lzss); (1.0, `Context); (0.001, `Split_stream);
             (0.001, `Context) ]);
-    Alcotest.test_case "Check rejects a corrupted offset table" `Quick (fun () ->
+    Alcotest.test_case "gate rejects a corrupted offset table" `Quick (fun () ->
         let p = squeeze (compile hot_cold_src) in
         let r =
           squash ~options:{ Squash.default_options with Squash.theta = 1.0 }
             ~profile_input:"n" p
         in
         let sq = r.Squash.squashed in
-        if Array.length sq.Rewrite.blob_offsets >= 2 then begin
-          let saved = sq.Rewrite.blob_offsets.(1) in
-          sq.Rewrite.blob_offsets.(1) <- max 0 (saved - 3);
-          let verdict = Check.check sq in
-          sq.Rewrite.blob_offsets.(1) <- saved;
-          match verdict with
-          | Error _ -> ()
-          | Ok () -> Alcotest.fail "corruption not detected"
-        end);
-    Alcotest.test_case "Check rejects a stray sentinel in a region image" `Quick
+        Alcotest.(check bool) "has two regions" true
+          (Array.length sq.Rewrite.blob_offsets >= 2);
+        let saved = sq.Rewrite.blob_offsets.(1) in
+        sq.Rewrite.blob_offsets.(1) <- max 0 (saved - 3);
+        let diags = Verify.run sq in
+        sq.Rewrite.blob_offsets.(1) <- saved;
+        expect_kinds "shifted offset" [ Verify.Stream_mismatch; Verify.Bad_layout ] diags);
+    Alcotest.test_case "gate rejects a stray sentinel in a region stream" `Quick
       (fun () ->
         let p = squeeze (compile hot_cold_src) in
         let r =
@@ -408,34 +414,33 @@ let checker_tests =
         let sq = r.Squash.squashed in
         Alcotest.(check bool) "has a region" true
           (Array.length sq.Rewrite.images > 0);
-        let saved = sq.Rewrite.images.(0) in
-        sq.Rewrite.images.(0) <-
-          {
-            saved with
-            Rewrite.words = Rewrite.Plain Instr.Sentinel :: saved.Rewrite.words;
-          };
-        let verdict = Check.check sq in
-        sq.Rewrite.images.(0) <- saved;
-        match verdict with
-        | Error es ->
-          Alcotest.(check bool)
-            (Printf.sprintf "mentions the sentinel (%s)" (String.concat "; " es))
-            true
-            (List.exists (fun e -> contains e "sentinel") es)
-        | Ok () -> Alcotest.fail "sentinel not detected");
-    Alcotest.test_case "Check rejects an out-of-range stub tag" `Quick (fun () ->
+        (* The sentinel goes into the stream and the blob alike, so the
+           stream still round-trips and only the materialised code is
+           wrong. *)
+        let images = Array.copy sq.Rewrite.images in
+        images.(0) <-
+          { (images.(0)) with Rewrite.stream = Instr.Sentinel :: images.(0).Rewrite.stream };
+        let streams = Array.map (fun (img : Rewrite.region_image) -> img.Rewrite.stream) images in
+        let codes =
+          Compress.build_codes ~backend:(Compress.backend_of sq.Rewrite.codes) streams
+        in
+        let blob, blob_offsets = Compress.encode_regions codes streams in
+        let sq = { sq with Rewrite.images; codes; blob; blob_offsets } in
+        expect_kinds "sentinel"
+          [ Verify.Stream_mismatch; Verify.Unproved_region ]
+          (gate_diags sq));
+    Alcotest.test_case "gate rejects an out-of-range stub tag" `Quick (fun () ->
         let p = squeeze (compile hot_cold_src) in
         let r =
           squash ~options:{ Squash.default_options with Squash.theta = 1.0 }
             ~profile_input:"n" p
         in
         let sq = r.Squash.squashed in
-        let key, addr =
+        let addr =
           match sq.Rewrite.stub_addrs with
-          | s :: _ -> s
+          | (_, addr) :: _ -> addr
           | [] -> Alcotest.fail "no entry stubs"
         in
-        ignore key;
         let words = sq.Rewrite.text.Easm.words in
         let word_idx a = (a - Layout.text_base) / 4 in
         (* The tag word follows the stub's bsr: 2-word plain form or
@@ -447,16 +452,9 @@ let checker_tests =
         in
         let saved = words.(tag_idx) in
         words.(tag_idx) <- (Array.length sq.Rewrite.images + 7) lsl 16;
-        let verdict = Check.check sq in
+        let diags = Verify.run sq in
         words.(tag_idx) <- saved;
-        match verdict with
-        | Error es ->
-          Alcotest.(check bool)
-            (Printf.sprintf "names the bogus region (%s)"
-               (String.concat "; " es))
-            true
-            (List.exists (fun e -> contains e "names region") es)
-        | Ok () -> Alcotest.fail "bad tag not detected");
+        expect_kinds "bad tag" [ Verify.Bad_stub ] diags);
   ]
 
 let variant_tests =

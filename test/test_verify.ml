@@ -147,6 +147,12 @@ let unit_tests =
         Hashtbl.replace sq.Rewrite.regions.Regions.region_of ("helper", 0) rid;
         Hashtbl.replace sq.Rewrite.regions.Regions.entries ("helper", 0) ();
         check_only sq Verify.Unsafe_call);
+    Alcotest.test_case "a buffer too small for a region trips bad-layout" `Quick
+      (fun () ->
+        let sq = make () in
+        check_only
+          { sq with Rewrite.buffer_words = sq.Rewrite.buffer_words - 1 }
+          Verify.Bad_layout);
   ]
 
 (* --- real images stay clean ----------------------------------------- *)
@@ -181,8 +187,44 @@ let workload_tests =
           (Array.length r.Squash.squashed.Rewrite.images > 0));
   ]
 
+(* --- generated programs pass every level of the gate --------------- *)
+
+let generated_tests =
+  [
+    Alcotest.test_case "generated programs pass the gate and match the interpreter"
+      `Slow (fun () ->
+        for seed = 1 to 16 do
+          let src = Gen_minic.random_program ~seed in
+          let expected = Mc_interp.run_source src ~input:"" in
+          let p = fst (Squeeze.run (Minic.compile_exn src)) in
+          let prof, _ = Profile.collect p ~input:"" in
+          List.iter
+            (fun (theta, coder) ->
+              let options = { Squash.default_options with theta; coder } in
+              let sq = (Squash.run ~options p prof).Squash.squashed in
+              let where =
+                Printf.sprintf "seed %d θ=%g (%s)" seed theta
+                  (Compress.coder_name sq.Rewrite.codes)
+              in
+              (match Verify.errors (Verify.run sq) with
+              | [] -> ()
+              | errs -> Alcotest.failf "%s:\n%s" where (Verify.render errs));
+              let r = Prove.run ~slots:2 sq in
+              if r.Prove.failures <> [] then
+                Alcotest.failf "%s:\n%s" where (Prove.render r);
+              let o, _ = Runtime.run ~fuel:100_000_000 sq ~input:"" in
+              if
+                o.Vm.output <> expected.Mc_interp.output
+                || o.Vm.exit_code <> expected.Mc_interp.exit_code
+              then Alcotest.failf "%s: behaviour differs from the interpreter" where)
+            [ (0.01, `Split_stream); (0.01, `Context); (1.0, `Split_stream);
+              (1.0, `Context) ]
+        done);
+  ]
+
 let suite =
   [
     ("verify: seeded corruption", unit_tests);
     ("verify: workload images", workload_tests);
+    ("verify: generated programs", generated_tests);
   ]

@@ -44,10 +44,11 @@ let per_workload_tests (wl : Workload.t) =
           (fun theta ->
             let options = { Squash.default_options with Squash.theta = theta } in
             let r = Squash.run ~options p profile in
-            (match Check.check r.Squash.squashed with
-            | Ok () -> ()
-            | Error es ->
-              Alcotest.failf "image check at θ=%g: %s" theta (String.concat "; " es));
+            (match Verify.errors (Verify.run r.Squash.squashed) with
+            | [] -> ()
+            | errs ->
+              Alcotest.failf "image gate at θ=%g: %s" theta
+                (String.concat "; " (List.map Verify.message errs)));
             let outcome, _ = Runtime.run ~fuel r.Squash.squashed ~input:timing in
             Alcotest.(check string)
               (Printf.sprintf "output at θ=%g" theta)
