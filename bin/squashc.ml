@@ -110,6 +110,39 @@ let cache_slots_arg =
               resident (default 1; each extra slot costs one buffer's worth \
               of RAM and saves re-inflations).")
 
+let k_bytes_arg ?(doc = "Runtime buffer size bound.") () =
+  Arg.(value & opt int 512 & info [ "k" ] ~docv:"BYTES" ~doc)
+
+let coder_arg =
+  Arg.(
+    value
+    & opt (enum Compress.coders) `Split_stream
+    & info [ "coder" ] ~docv:"CODER"
+        ~doc:
+          (Printf.sprintf
+             "Compression backend: %s (split-stream canonical Huffman, the \
+              paper's scheme; its move-to-front variant; order-1 \
+              context-modeled split streams)."
+             (doc_alts_enum Compress.coders)))
+
+let workloads_arg verb =
+  Arg.(
+    value & pos_all string []
+    & info [] ~docv:"WORKLOAD"
+        ~doc:(Printf.sprintf "Built-in workloads to %s (default: all)." verb))
+
+(* The named built-in workloads; none names all of them. *)
+let find_workloads = function
+  | [] -> Workloads.all
+  | names ->
+    List.map
+      (fun n ->
+        or_die
+          (Option.to_result
+             ~none:("no such workload: " ^ n ^ " (see squashc workloads)")
+             (Workloads.find n)))
+      names
+
 (* --- compile -------------------------------------------------------- *)
 
 let compile_cmd =
@@ -163,10 +196,7 @@ let run_cmd =
                 without $(b,--trace)).")
   in
   let k_bytes =
-    Arg.(
-      value & opt int 512
-      & info [ "k" ] ~docv:"BYTES"
-          ~doc:"Runtime-buffer bound for the $(b,--trace) squash.")
+    k_bytes_arg ~doc:"Runtime-buffer bound for the $(b,--trace) squash." ()
   in
   let run prog_name no_squeeze inputs fuel trace_out trace_format theta k_bytes
       cache_slots =
@@ -451,11 +481,6 @@ let squash_cmd =
       value & opt float 0.0
       & info [ "theta" ] ~docv:"T" ~doc:"Cold-code threshold in [0, 1].")
   in
-  let k_bytes =
-    Arg.(
-      value & opt int 512
-      & info [ "k" ] ~docv:"BYTES" ~doc:"Runtime buffer size bound.")
-  in
   let profile_file =
     Arg.(
       value
@@ -478,20 +503,6 @@ let squash_cmd =
                 contributes its resolved candidate targets (constant \
                 propagation, else the address-taken set) instead of \
                 poisoning its whole call chain.")
-  in
-  let coder =
-    let coder_conv =
-      Arg.enum
-        [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf);
-          ("lzss", `Lzss); ("context", `Context) ]
-    in
-    Arg.(
-      value & opt coder_conv `Split_stream
-      & info [ "coder" ] ~docv:"CODER"
-          ~doc:"Compression backend: $(b,huffman) (split-stream canonical \
-                Huffman, the paper's scheme), $(b,mtf) (move-to-front \
-                variant), $(b,lzss), or $(b,context) (order-1 \
-                context-modeled split streams).")
   in
   let linear_regions =
     Arg.(
@@ -666,8 +677,8 @@ let squash_cmd =
              image always passes the lint level of the image gate (pipeline \
              pass $(b,lint)); any error-severity diagnostic exits 1.")
     Term.(
-      const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes
-      $ profile_file $ no_pack $ no_bsafe $ no_unswitch $ sharp_bsafe $ coder
+      const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes_arg ()
+      $ profile_file $ no_pack $ no_bsafe $ no_unswitch $ sharp_bsafe $ coder_arg
       $ linear_regions $ verify $ cache_slots_arg $ trace_passes $ check_each
       $ stats_json $ stream_bits $ prove_flag)
 
@@ -678,11 +689,6 @@ let attrib_cmd =
     Arg.(
       value & opt float 0.01
       & info [ "theta" ] ~docv:"T" ~doc:"Cold-code threshold in [0, 1].")
-  in
-  let k_bytes =
-    Arg.(
-      value & opt int 512
-      & info [ "k" ] ~docv:"BYTES" ~doc:"Runtime buffer size bound.")
   in
   let profile_file =
     Arg.(
@@ -781,7 +787,7 @@ let attrib_cmd =
              timing input, and break the decompression cycles down by \
              region (optionally diffed against a saved run).")
     Term.(
-      const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes
+      const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes_arg ()
       $ cache_slots_arg $ profile_file $ json_out $ compare_file)
 
 (* --- stats ------------------------------------------------------------ *)
@@ -804,12 +810,6 @@ let stats_cmd =
 (* --- grid ------------------------------------------------------------- *)
 
 let grid_cmd =
-  let workloads_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Built-in workloads to sweep (default: all).")
-  in
   let thetas =
     Arg.(
       value
@@ -884,20 +884,7 @@ let grid_cmd =
   in
   let run names thetas ks timing cache_slots jobs no_cache cache_dir json_out
       csv_out stats_flag trace_out trace_format =
-    let wls =
-      match names with
-      | [] -> Workloads.all
-      | names ->
-        List.map
-          (fun n ->
-            match Workloads.find n with
-            | Some wl -> wl
-            | None ->
-              prerr_endline
-                ("squashc: no such workload: " ^ n ^ " (see squashc workloads)");
-              exit 2)
-          names
-    in
+    let wls = find_workloads names in
     let obs =
       match trace_out with
       | None -> None
@@ -984,9 +971,9 @@ let grid_cmd =
        ~doc:"Run a workload x theta x K sweep on the parallel experiment \
              engine.")
     Term.(
-      const run $ workloads_arg $ thetas $ ks $ timing $ cache_slots_arg $ jobs
-      $ no_cache $ cache_dir $ json_out $ csv_out $ stats_flag $ trace_out
-      $ trace_format)
+      const run $ workloads_arg "sweep" $ thetas $ ks $ timing $ cache_slots_arg
+      $ jobs $ no_cache $ cache_dir $ json_out $ csv_out $ stats_flag
+      $ trace_out $ trace_format)
 
 (* --- benchdiff -------------------------------------------------------- *)
 
@@ -1081,23 +1068,12 @@ let tracediff_cmd =
 (* --- lint ------------------------------------------------------------- *)
 
 let lint_cmd =
-  let workloads_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Built-in workloads to lint (default: all).")
-  in
   let thetas =
     Arg.(
       value
       & opt (list float) [ 0.0; 0.01 ]
       & info [ "theta" ] ~docv:"T,T,..."
           ~doc:"Cold-code thresholds to build and verify at.")
-  in
-  let k_bytes =
-    Arg.(
-      value & opt int 512
-      & info [ "k" ] ~docv:"BYTES" ~doc:"Runtime buffer size bound.")
   in
   let sharp =
     Arg.(
@@ -1107,18 +1083,6 @@ let lint_cmd =
                 (the verifier always checks unchanged calls against it, so \
                 both builds must lint clean).")
   in
-  let coder =
-    let coder_conv =
-      Arg.enum
-        [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf);
-          ("lzss", `Lzss); ("context", `Context) ]
-    in
-    Arg.(
-      value & opt coder_conv `Split_stream
-      & info [ "coder" ] ~docv:"CODER"
-          ~doc:"Compression backend to build (and stream-verify) the images \
-                with: $(b,huffman), $(b,mtf), $(b,lzss), or $(b,context).")
-  in
   let json_out =
     Arg.(
       value
@@ -1127,20 +1091,7 @@ let lint_cmd =
           ~doc:"Write per-image diagnostics and safe-call counts as JSON.")
   in
   let run names thetas k_bytes sharp coder json_out =
-    let wls =
-      match names with
-      | [] -> Workloads.all
-      | names ->
-        List.map
-          (fun n ->
-            match Workloads.find n with
-            | Some wl -> wl
-            | None ->
-              prerr_endline
-                ("squashc: no such workload: " ^ n ^ " (see squashc workloads)");
-              exit 2)
-          names
-    in
+    let wls = find_workloads names in
     let t =
       Report.Table.create ~title:"squashc lint"
         [ ("Program", Report.Table.Left); ("theta", Report.Table.Right);
@@ -1251,17 +1202,13 @@ let lint_cmd =
              stream round-trips, dangling transfers into removed regions, \
              stub-register liveness, and buffer-safety of unchanged calls.  \
              Exits 1 on any error-severity diagnostic.")
-    Term.(const run $ workloads_arg $ thetas $ k_bytes $ sharp $ coder $ json_out)
+    Term.(
+      const run $ workloads_arg "lint" $ thetas $ k_bytes_arg () $ sharp
+      $ coder_arg $ json_out)
 
 (* --- prove -------------------------------------------------------------- *)
 
 let prove_cmd =
-  let workloads_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Built-in workloads to prove (default: all).")
-  in
   let thetas =
     Arg.(
       value
@@ -1277,23 +1224,6 @@ let prove_cmd =
           ~doc:"Cache-slot counts to prove each image for (every slot's \
                 displacement rebias is checked).")
   in
-  let k_bytes =
-    Arg.(
-      value & opt int 512
-      & info [ "k" ] ~docv:"BYTES" ~doc:"Runtime buffer size bound.")
-  in
-  let coder =
-    let coder_conv =
-      Arg.enum
-        [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf);
-          ("lzss", `Lzss); ("context", `Context) ]
-    in
-    Arg.(
-      value & opt coder_conv `Split_stream
-      & info [ "coder" ] ~docv:"CODER"
-          ~doc:"Compression backend to build (and decode through) the \
-                images: $(b,huffman), $(b,mtf), $(b,lzss), or $(b,context).")
-  in
   let json_out =
     Arg.(
       value
@@ -1302,20 +1232,7 @@ let prove_cmd =
           ~doc:"Write per-image proof reports as JSON.")
   in
   let run names thetas slots_list k_bytes coder json_out =
-    let wls =
-      match names with
-      | [] -> Workloads.all
-      | names ->
-        List.map
-          (fun n ->
-            match Workloads.find n with
-            | Some wl -> wl
-            | None ->
-              prerr_endline
-                ("squashc: no such workload: " ^ n ^ " (see squashc workloads)");
-              exit 2)
-          names
-    in
+    let wls = find_workloads names in
     let t =
       Report.Table.create ~title:"squashc prove"
         [ ("Program", Report.Table.Left); ("theta", Report.Table.Right);
@@ -1394,8 +1311,8 @@ let prove_cmd =
              match.  Exits 1 on any unproved region, printing the \
              divergence trace.")
     Term.(
-      const run $ workloads_arg $ thetas $ slots_list $ k_bytes $ coder
-      $ json_out)
+      const run $ workloads_arg "prove" $ thetas $ slots_list $ k_bytes_arg ()
+      $ coder_arg $ json_out)
 
 (* --- workloads ---------------------------------------------------------- *)
 

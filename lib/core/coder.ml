@@ -3,19 +3,22 @@ type work = { bits : int; steps : int }
 module type S = sig
   type model
 
-  val name : string
   val build : Instr.t list array -> model
   val encode_regions : model -> Instr.t list array -> string * int array
-
-  val decode_region :
-    model -> string -> bit_offset:int -> bit_end:int -> Instr.t list * work
-
+  val decode_region : model -> string -> bit_offset:int -> Instr.t list * work
   val table_bits : model -> int
   val stream_stats : model -> (string * int * float) list
   val stream_bits : model -> Instr.t list array -> (string * int) list
 end
 
 let stream_count = List.length Instr.all_streams
+
+let stream_of_index =
+  let a = Array.make stream_count Instr.Opcode in
+  List.iter (fun s -> a.(Instr.stream_index s) <- s) Instr.all_streams;
+  a
+
+let opcode_index = Instr.stream_index Instr.Opcode
 
 (* Field width of each stream, for storing D entries. *)
 let stream_value_bits = function
@@ -30,19 +33,17 @@ let stream_value_bits = function
 
 let with_sentinel instrs = instrs @ [ Instr.Sentinel ]
 
-(* Visit every (stream, value) of an instruction, opcode first. *)
+(* Visit every (stream index, value) of an instruction, opcode first. *)
 let iter_fields f ins =
-  f Instr.Opcode (Instr.opcode_value ins);
-  List.iter (fun (s, v) -> f s v) (Instr.fields ins)
+  f opcode_index (Instr.opcode_value ins);
+  List.iter (fun (s, v) -> f (Instr.stream_index s) v) (Instr.fields ins)
 
 let stream_values regions =
   let values = Array.make stream_count [] in
   Array.iter
     (fun instrs ->
       List.iter
-        (iter_fields (fun s v ->
-             let i = Instr.stream_index s in
-             values.(i) <- v :: values.(i)))
+        (iter_fields (fun i v -> values.(i) <- v :: values.(i)))
         (with_sentinel instrs))
     regions;
   Array.map List.rev values
@@ -54,17 +55,24 @@ let freqs_of_values vs =
     vs;
   Hashtbl.fold (fun v c acc -> (v, c) :: acc) tbl [] |> List.sort compare
 
-let region_bytes instrs =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun ins ->
-      let w = Instr.encode ins in
-      Buffer.add_char b (Char.chr (w land 0xFF));
-      Buffer.add_char b (Char.chr ((w lsr 8) land 0xFF));
-      Buffer.add_char b (Char.chr ((w lsr 16) land 0xFF));
-      Buffer.add_char b (Char.chr ((w lsr 24) land 0xFF)))
-    (with_sentinel instrs);
-  Buffer.contents b
+let render_stream_bits totals =
+  List.filter_map
+    (fun stream ->
+      let b = totals.(Instr.stream_index stream) in
+      if b = 0 then None else Some (Instr.stream_name stream, b))
+    Instr.all_streams
+
+(* [read] goes straight to [Instr.rebuild], so a decoded instruction costs no
+   closure and each symbol one call. *)
+let decode_instrs read =
+  let rec go acc =
+    let opcode = read Instr.Opcode in
+    match Instr.rebuild ~opcode read with
+    | Error msg -> raise (Bitio.Corrupt_stream ("Coder.decode_instrs: " ^ msg))
+    | Ok Instr.Sentinel -> List.rev acc
+    | Ok ins -> go (ins :: acc)
+  in
+  go []
 
 (* ------------------------------------------------------------------ *)
 (* Move-to-front state: one recency array per stream. *)
@@ -77,28 +85,27 @@ module Mtf_state = struct
   let reset t (alphabets : int array array) =
     Array.iteri (fun i a -> Array.blit a 0 t.(i) 0 (Array.length a)) alphabets
 
-  (* Rank of [v] in stream [si], then move it to the front. *)
+  (* Shift ranks [0, r) down one and put [v] at the front. *)
+  let to_front (a : int array) r v =
+    for j = r downto 1 do
+      a.(j) <- a.(j - 1)
+    done;
+    a.(0) <- v
+
   let rank_of t si v =
     let a = t.(si) in
     let n = Array.length a in
     let rec find i = if i >= n then -1 else if a.(i) = v then i else find (i + 1) in
     let r = find 0 in
     if r < 0 then failwith "Coder: MTF symbol not in alphabet";
-    for j = r downto 1 do
-      a.(j) <- a.(j - 1)
-    done;
-    a.(0) <- v;
+    to_front a r v;
     r
 
-  (* Value at [rank] in stream [si], then move it to the front. *)
   let value_at t si rank =
     let a = t.(si) in
     if rank < 0 || rank >= Array.length a then
-      failwith "Coder: MTF rank out of range";
+      raise (Bitio.Corrupt_stream "Coder: MTF rank out of range");
     let v = a.(rank) in
-    for j = rank downto 1 do
-      a.(j) <- a.(j - 1)
-    done;
-    a.(0) <- v;
+    to_front a rank v;
     v
 end

@@ -45,11 +45,6 @@ type model = {
 let ctx_id_bits = 6
 let sentinel_op = Instr.opcode_value Instr.Sentinel
 
-let stream_of_index =
-  let a = Array.make Coder.stream_count Instr.Opcode in
-  List.iter (fun s -> a.(Instr.stream_index s) <- s) Instr.all_streams;
-  a
-
 let is_reg_stream s = Coder.stream_value_bits s = 5
 
 (* Per-region recency lists over the full register file; identical on the
@@ -57,7 +52,7 @@ let is_reg_stream s = Coder.stream_value_bits s = 5
 let identity_alphabets =
   Array.map
     (fun s -> if is_reg_stream s then Array.init Reg.count Fun.id else [||])
-    stream_of_index
+    Coder.stream_of_index
 
 (* Walk regions exactly as the encoder does, handing every symbol to [f] as
    [f stream_index context symbol].  Streams flagged in [mtf] arrive as
@@ -158,9 +153,10 @@ let ccode_for_ctx cc ~stream ctx =
     match cc.default with
     | Some code -> (code, false)
     | None ->
-      failwith
-        (Printf.sprintf "Coder_context: no code for context %d of stream %s" ctx
-           (Instr.stream_name stream)))
+      raise
+        (Bitio.Corrupt_stream
+           (Printf.sprintf "Coder_context: no code for context %d of stream %s" ctx
+              (Instr.stream_name stream))))
 
 (* Payload + tables for one stream, used to choose between the raw and the
    MTF-transformed variant of a register stream. *)
@@ -177,21 +173,19 @@ let ccode_cost ~value_bits cc tbl =
 module M = struct
   type nonrec model = model
 
-  let name = "context"
-
   let build regions =
     let raw = gather ~mtf:(Array.make Coder.stream_count false) regions in
     let ranked =
-      gather ~mtf:(Array.map is_reg_stream stream_of_index) regions
+      gather ~mtf:(Array.map is_reg_stream Coder.stream_of_index) regions
     in
     let mtf = Array.make Coder.stream_count false in
     let per_stream =
       Array.init Coder.stream_count (fun si ->
           if Hashtbl.length raw.(si) = 0 then None
           else begin
-            let value_bits = Coder.stream_value_bits stream_of_index.(si) in
+            let value_bits = Coder.stream_value_bits Coder.stream_of_index.(si) in
             let cc_raw = build_ccode ~value_bits raw.(si) in
-            if not (is_reg_stream stream_of_index.(si)) then Some cc_raw
+            if not (is_reg_stream Coder.stream_of_index.(si)) then Some cc_raw
             else begin
               let cc_mtf = build_ccode ~value_bits ranked.(si) in
               if
@@ -210,10 +204,11 @@ module M = struct
   let code_for { per_stream; _ } si ctx =
     match per_stream.(si) with
     | None ->
-      failwith
-        ("Coder_context: no codes for stream "
-        ^ Instr.stream_name stream_of_index.(si))
-    | Some cc -> ccode_for_ctx cc ~stream:stream_of_index.(si) ctx
+      raise
+        (Bitio.Corrupt_stream
+           ("Coder_context: no codes for stream "
+           ^ Instr.stream_name Coder.stream_of_index.(si)))
+    | Some cc -> ccode_for_ctx cc ~stream:Coder.stream_of_index.(si) ctx
 
   let encode_regions model regions =
     let w = Bitio.Writer.create () in
@@ -229,33 +224,32 @@ module M = struct
       regions;
     (Bitio.Writer.contents w, offsets)
 
-  let decode_region model blob ~bit_offset ~bit_end:_ =
+  let decode_region model blob ~bit_offset =
     let r = Bitio.Reader.of_string ~start_bit:bit_offset blob in
     let bits = ref 0 and steps = ref 0 in
+    (* The last opcode read: the context of an opcode and of its fields. *)
+    let ctx = ref sentinel_op in
     let state = Coder.Mtf_state.create identity_alphabets in
-    let read stream ctx =
+    let read stream =
       let si = Instr.stream_index stream in
-      let code, is_dedicated = code_for model si ctx in
+      let code, is_dedicated = code_for model si !ctx in
       let sym, b, probes = Canonical.decode code r in
       bits := !bits + b;
       (* Decode-table probes, plus one step to select a context-dedicated
          table; walking a recency list costs rank steps. *)
       steps := !steps + probes;
       if is_dedicated then incr steps;
-      if model.mtf.(si) then begin
-        steps := !steps + sym;
-        Coder.Mtf_state.value_at state si sym
-      end
-      else sym
+      let v =
+        if model.mtf.(si) then begin
+          steps := !steps + sym;
+          Coder.Mtf_state.value_at state si sym
+        end
+        else sym
+      in
+      (match stream with Instr.Opcode -> ctx := v | _ -> ());
+      v
     in
-    let rec go prev acc =
-      let op = read Instr.Opcode prev in
-      match Instr.rebuild ~opcode:op (fun s -> read s op) with
-      | Error msg -> raise (Bitio.Corrupt_stream ("Coder_context.decode_region: " ^ msg))
-      | Ok Instr.Sentinel -> List.rev acc
-      | Ok ins -> go op (ins :: acc)
-    in
-    let instrs = go sentinel_op [] in
+    let instrs = Coder.decode_instrs read in
     (instrs, { Coder.bits = !bits; steps = !steps })
 
   let table_bits { per_stream; _ } =
@@ -264,9 +258,9 @@ module M = struct
            match cc with
            | None -> 0
            | Some cc ->
-             let value_bits = Coder.stream_value_bits stream_of_index.(si) in
+             let value_bits = Coder.stream_value_bits Coder.stream_of_index.(si) in
              (* +1: the shipped MTF flag of a register stream. *)
-             (if is_reg_stream stream_of_index.(si) then 1 else 0)
+             (if is_reg_stream Coder.stream_of_index.(si) then 1 else 0)
              + ccode_table_bits ~value_bits cc)
     |> List.fold_left ( + ) 0
 
@@ -298,9 +292,5 @@ module M = struct
         | Some (_, len) -> totals.(si) <- totals.(si) + len
         | None -> failwith "Coder_context: symbol outside alphabet")
       regions;
-    List.filter_map
-      (fun stream ->
-        let b = totals.(Instr.stream_index stream) in
-        if b = 0 then None else Some (Instr.stream_name stream, b))
-      Instr.all_streams
+    Coder.render_stream_bits totals
 end

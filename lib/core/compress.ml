@@ -2,13 +2,15 @@
    plain variant so squash results stay marshal-safe; [pack] wraps it in a
    first-class {!Coder.S} module at each use site. *)
 
-type backend = [ `Split_stream | `Split_stream_mtf | `Lzss | `Context ]
+type backend = [ `Split_stream | `Split_stream_mtf | `Context ]
 type work = Coder.work = { bits : int; steps : int }
+
+let coders : (string * backend) list =
+  [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf); ("context", `Context) ]
 
 type codes =
   | Huffman of Coder_split.plain_model
   | Huffman_mtf of Coder_split.mtf_model
-  | Lzss_codec
   | Context_codes of Coder_context.model
 
 type packed = Packed : (module Coder.S with type model = 'm) * 'm -> packed
@@ -16,34 +18,36 @@ type packed = Packed : (module Coder.S with type model = 'm) * 'm -> packed
 let pack = function
   | Huffman m -> Packed ((module Coder_split.Plain), m)
   | Huffman_mtf m -> Packed ((module Coder_split.Mtf), m)
-  | Lzss_codec -> Packed ((module Coder_lzss.M), ())
   | Context_codes m -> Packed ((module Coder_context.M), m)
 
 let backend_of = function
   | Huffman _ -> `Split_stream
   | Huffman_mtf _ -> `Split_stream_mtf
-  | Lzss_codec -> `Lzss
   | Context_codes _ -> `Context
+
+let backend_name backend = fst (List.find (fun (_, b) -> b = backend) coders)
+let coder_name codes = backend_name (backend_of codes)
 
 let build_codes ?(backend = `Split_stream) regions =
   match backend with
   | `Split_stream -> Huffman (Coder_split.Plain.build regions)
   | `Split_stream_mtf -> Huffman_mtf (Coder_split.Mtf.build regions)
-  | `Lzss -> Lzss_codec
   | `Context -> Context_codes (Coder_context.M.build regions)
-
-let coder_name codes =
-  let (Packed ((module C), _)) = pack codes in
-  C.name
 
 let encode_regions codes regions =
   let (Packed ((module C), m)) = pack codes in
   C.encode_regions m regions
 
 let decode_region codes blob ~bit_offset ?bit_end () =
-  let bit_end = Option.value ~default:(8 * String.length blob) bit_end in
   let (Packed ((module C), m)) = pack codes in
-  C.decode_region m blob ~bit_offset ~bit_end
+  let (_, work) as decoded = C.decode_region m blob ~bit_offset in
+  match bit_end with
+  | Some e when bit_offset + work.bits > e ->
+    raise
+      (Bitio.Corrupt_stream
+         (Printf.sprintf "Compress.decode_region: region read %d bits past its end"
+            (bit_offset + work.bits - e)))
+  | _ -> decoded
 
 let table_bits codes =
   let (Packed ((module C), m)) = pack codes in

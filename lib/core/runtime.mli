@@ -27,8 +27,7 @@ type stats = {
   mutable bits_decoded : int;
   mutable model_steps : int;
       (** Coder model steps: decode-table probes plus work beyond bit
-          consumption (MTF walks, context-table selections, LZSS copy
-          steps). *)
+          consumption (MTF walks, context-table selections). *)
   mutable words_materialised : int;
   mutable cache_hits : int;
       (** Decompressor entries that found their region already resident in

@@ -190,7 +190,7 @@ let decode (sq : Rewrite.t) rid =
     Compress.decode_region sq.Rewrite.codes sq.Rewrite.blob ~bit_offset:offsets.(rid)
       ?bit_end ()
   with
-  | exception (Bitio.Corrupt_stream msg | Failure msg) -> fail "stream does not decode: %s" msg
+  | exception Bitio.Corrupt_stream msg -> fail "stream does not decode: %s" msg
   | exception Invalid_argument msg -> fail "stream reads past its end: %s" msg
   | _, work when work.Compress.bits < 0 || work.Compress.steps < 0 ->
     fail "decoder reported negative work (%d bits, %d steps)" work.Compress.bits

@@ -29,11 +29,7 @@ let options_key (o : Squash.options) =
     o.Squash.use_buffer_safe o.Squash.sharp_buffer_safe o.Squash.unswitch
     o.Squash.decomp_words
     o.Squash.max_stubs
-    (match o.Squash.coder with
-    | `Split_stream -> "huffman"
-    | `Split_stream_mtf -> "mtf"
-    | `Lzss -> "lzss"
-    | `Context -> "context")
+    (Compress.backend_name o.Squash.coder)
     (match o.Squash.regions_strategy with `Dfs -> "dfs" | `Linear -> "linear")
 
 (* In-process memo tables.  Every one is a domain-safe compute-once table

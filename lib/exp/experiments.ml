@@ -429,7 +429,6 @@ let ablation () =
       ("sharp buffer-safe", { base with Squash.sharp_buffer_safe = true });
       ("unswitch off", { base with Squash.unswitch = false });
       ("MTF coder", { base with Squash.coder = `Split_stream_mtf });
-      ("LZSS coder", { base with Squash.coder = `Lzss });
       ("Context coder", { base with Squash.coder = `Context });
       ("linear regions", { base with Squash.regions_strategy = `Linear }) ]
   in

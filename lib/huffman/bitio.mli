@@ -4,9 +4,9 @@
 
 exception Corrupt_stream of string
 (** The one error every corrupt compressed stream surfaces as: a reader
-    running past the end of its data, or a decoder ({!Canonical.decode},
-    {!Lzss.decompress}) meeting bits that no codeword explains.  The VM and
-    lint layers catch this single exception instead of pattern-matching on
+    running past the end of its data, or a decoder ({!Canonical.decode})
+    meeting bits that no codeword explains.  The VM and lint layers catch
+    this single exception instead of pattern-matching on
     [Invalid_argument] / [Failure] strings. *)
 
 module Writer : sig

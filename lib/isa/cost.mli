@@ -19,8 +19,9 @@ type model = {
           argument unpacking, dispatch. *)
   decomp_per_bit : int;  (** Cycles per bit consumed by the DECODE loop. *)
   decomp_per_step : int;
-      (** Cycles per model step beyond bit consumption: move-to-front
-          recency-list walks, context-table selections, LZSS copy steps. *)
+      (** Cycles per model step beyond bit consumption: decode-table
+          probes, move-to-front recency-list walks, context-table
+          selections. *)
   decomp_per_instr : int;
       (** Cycles per instruction materialised into the runtime buffer
           (field reassembly + store). *)

@@ -1,14 +1,11 @@
 (* The coder abstraction: every backend round-trips arbitrary regions
-   byte-identically with sane work accounting, refuses truncated streams,
-   and the context coder actually earns its keep on the workload suite. *)
+   byte-identically with sane work accounting, refuses truncated streams
+   and reads past a region's end, and the context coder actually earns its
+   keep on the workload suite. *)
 
 open QCheck
 
 let qcheck = QCheck_alcotest.to_alcotest
-
-let backends =
-  [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf); ("lzss", `Lzss);
-    ("context", `Context) ]
 
 (* Region bodies must not contain the sentinel: it terminates decoding, so
    an interior one would legitimately truncate the stream. *)
@@ -73,6 +70,24 @@ let truncation_test (name, backend) =
       | exception Bitio.Corrupt_stream _ -> true
       | instrs, _ -> not (List.equal Instr.equal instrs r))
 
+(* Region 0 of a two-region blob ends exactly at region 1's offset, so a
+   [bit_end] one bit earlier must make the decode raise. *)
+let bit_end_test (name, backend) =
+  Test.make
+    ~name:(Printf.sprintf "%s: reading past bit_end raises" name)
+    ~count:40
+    (QCheck.pair arb_fat_region arb_fat_region)
+    (fun (r0, r1) ->
+      let regions = [| r0; r1 |] in
+      let codes = Compress.build_codes ~backend regions in
+      let blob, offsets = Compress.encode_regions codes regions in
+      match
+        Compress.decode_region codes blob ~bit_offset:offsets.(0)
+          ~bit_end:(offsets.(1) - 1) ()
+      with
+      | exception Bitio.Corrupt_stream _ -> true
+      | _ -> false)
+
 (* Corrupting a byte may still decode to *something* (Huffman codes are
    complete), but it must terminate: either a raise or some stream. *)
 let corruption_test (name, backend) =
@@ -94,8 +109,9 @@ let corruption_test (name, backend) =
 
 let property_tests =
   List.concat_map
-    (fun b -> [ round_trip_test b; truncation_test b; corruption_test b ])
-    backends
+    (fun b ->
+      [ round_trip_test b; truncation_test b; bit_end_test b; corruption_test b ])
+    Compress.coders
   |> List.map (qcheck ~long:false)
 
 (* --- the workload suite under the context coder --------------------- *)

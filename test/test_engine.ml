@@ -239,7 +239,7 @@ int main() { return pad(4) & 255; }
             { base with Squash.unswitch = false };
             { base with Squash.decomp_words = 128 };
             { base with Squash.max_stubs = 4 };
-            { base with Squash.coder = `Lzss };
+            { base with Squash.coder = `Context };
             { base with Squash.regions_strategy = `Linear } ]
         in
         let keys = List.map Exp_data.options_key (base :: variants) in

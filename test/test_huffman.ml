@@ -120,8 +120,8 @@ let unit_tests =
         in
         drain ());
     Alcotest.test_case "mtf known example" `Quick (fun () ->
-        let alphabet = [ 0; 1; 2; 3 ] in
-        let ranks = Mtf.encode ~alphabet [ 2; 2; 0; 1; 1 ] in
+        let state = Coder.Mtf_state.create [| [| 0; 1; 2; 3 |] |] in
+        let ranks = List.map (Coder.Mtf_state.rank_of state 0) [ 2; 2; 0; 1; 1 ] in
         Alcotest.(check (list int)) "ranks" [ 2; 0; 1; 2; 0 ] ranks);
   ]
 
@@ -177,8 +177,11 @@ let prop_tests =
     qcheck
       (QCheck.Test.make ~name:"mtf roundtrip" ~count:300 arb_symbol_seq
          (fun syms ->
-           let alphabet = List.sort_uniq compare syms in
-           Mtf.decode ~alphabet (Mtf.encode ~alphabet syms) = syms));
+           let alphabets = [| Array.of_list (List.sort_uniq compare syms) |] in
+           let enc = Coder.Mtf_state.create alphabets in
+           let dec = Coder.Mtf_state.create alphabets in
+           let ranks = List.map (Coder.Mtf_state.rank_of enc 0) syms in
+           List.map (Coder.Mtf_state.value_at dec 0) ranks = syms));
     qcheck
       (QCheck.Test.make ~name:"decode consumes exactly the encoded bits" ~count:200
          arb_symbol_seq (fun syms ->

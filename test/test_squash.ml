@@ -388,7 +388,7 @@ let checker_tests =
             | [] -> ()
             | errs -> Alcotest.failf "θ=%g:\n%s" theta (Verify.render errs))
           [ (0.0, `Split_stream); (1.0, `Split_stream); (1.0, `Split_stream_mtf);
-            (1.0, `Lzss); (1.0, `Context); (0.001, `Split_stream);
+            (1.0, `Context); (0.001, `Split_stream);
             (0.001, `Context) ]);
     Alcotest.test_case "gate rejects a corrupted offset table" `Quick (fun () ->
         let p = squeeze (compile hot_cold_src) in
@@ -474,17 +474,6 @@ let variant_tests =
         let o2, stats = run_squashed ~input:"x" r in
         check_same "mtf" o1 o2;
         Alcotest.(check bool) "decompressed" true (stats.Runtime.decompressions > 0));
-    Alcotest.test_case "LZSS coder round-trips and runs" `Quick (fun () ->
-        let p = squeeze (compile hot_cold_src) in
-        let r =
-          squash
-            ~options:
-              { Squash.default_options with Squash.theta = 1.0; coder = `Lzss }
-            ~profile_input:"n" p
-        in
-        let o1 = run_orig ~input:"x" p in
-        let o2, _ = run_squashed ~input:"x" r in
-        check_same "lzss" o1 o2);
     Alcotest.test_case "Context coder round-trips and runs" `Quick (fun () ->
         let p = squeeze (compile hot_cold_src) in
         let r =
@@ -541,7 +530,7 @@ let variant_tests =
                 Alcotest.(check bool) "work positive" true
                   (work.Compress.bits > 0 && work.Compress.steps >= 0))
               sq.Rewrite.images)
-          [ `Split_stream; `Split_stream_mtf; `Lzss; `Context ]);
+          (List.map snd Compress.coders));
   ]
 
 let differential_tests =
@@ -598,8 +587,6 @@ let differential_tests =
           [ ("mtf",
              { Squash.default_options with Squash.theta = 1.0;
                coder = `Split_stream_mtf });
-            ("lzss",
-             { Squash.default_options with Squash.theta = 1.0; coder = `Lzss });
             ("context",
              { Squash.default_options with Squash.theta = 1.0;
                coder = `Context });
