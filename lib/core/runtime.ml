@@ -344,29 +344,23 @@ let launch ?(cost = Cost.default) ?fuel ?obs ?profile ?(slots = 1) (sq : Rewrite
   let nregions = Array.length sq.Rewrite.images in
   if sq.Rewrite.buffer_base + (4 * sq.Rewrite.buffer_words * slots) > Layout.data_base
   then invalid_arg "Runtime.launch: cache slots overflow the buffer area";
-  (* Assemble the loadable text: the Easm image, plus the offset table and
-     blob words at blob_base.  Both live inside one flat array starting at
-     text_base (the gap is zero words). *)
+  (* Load the Easm text, then store the offset table and the blob bytes at
+     blob_base; the zero gap between them is never touched. *)
   let text_words = sq.Rewrite.text.Easm.words in
   let text_end = Layout.text_base + (4 * Array.length text_words) in
-  if text_end > Rewrite.blob_base then failwith "Runtime.launch: text overflows into blob";
-  let blob_word_count = ((String.length sq.Rewrite.blob + 3) / 4) + nregions in
-  let total_words = ((Rewrite.blob_base - Layout.text_base) / 4) + blob_word_count in
-  let flat = Array.make total_words 0 in
-  Array.blit text_words 0 flat 0 (Array.length text_words);
-  let blob_idx = (Rewrite.blob_base - Layout.text_base) / 4 in
-  Array.iteri (fun i off -> flat.(blob_idx + i) <- off) sq.Rewrite.blob_offsets;
-  String.iteri
-    (fun i c ->
-      let w = blob_idx + nregions + (i / 4) in
-      flat.(w) <- flat.(w) lor (Char.code c lsl (8 * (i land 3))))
-    sq.Rewrite.blob;
+  if text_end > Rewrite.blob_base then invalid_arg "Runtime.launch: text overflows into blob";
   let vm =
-    Vm.create ~cost ?fuel ?profile ~text_base:Layout.text_base ~text:flat
+    Vm.create ~cost ?fuel ?profile ~text_base:Layout.text_base ~text:text_words
       ~entry:sq.Rewrite.entry_addr ~data_base:Layout.data_base
       ~data_words:sq.Rewrite.prog.Prog.data_words
       ~data_init:sq.Rewrite.prog.Prog.data_init ~input ()
   in
+  Array.iteri
+    (fun i off -> Vm.store_word vm (Rewrite.blob_base + (4 * i)) off)
+    sq.Rewrite.blob_offsets;
+  String.iteri
+    (fun i c -> Vm.store_byte vm (Rewrite.blob_base + (4 * nregions) + i) (Char.code c))
+    sq.Rewrite.blob;
   let stats =
     {
       decompressions = 0;

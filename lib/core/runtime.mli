@@ -73,19 +73,26 @@ val launch :
   Vm.t * stats
 (** Create a VM loaded with the squashed image (text, offset table,
     compressed blob, stub area, buffer slots) and hook the runtime in.
-    With [~profile:true] the VM counts per-word executions of the whole
-    flat image — [Exp_data.reprofile_squashed] maps them back to source
-    blocks through the rewrite's owner array (buffer executions fall
-    outside the counted text, mirroring a real sampled-PC profiler that
-    cannot attribute scratch-buffer PCs).
+    The Easm text is the VM's text; the offset table and the blob are
+    stored at [Rewrite.blob_base] afterwards, so the zero gap between them
+    costs nothing.
+    With [~profile:true] the VM counts per-word executions of the Easm
+    text only ([Vm.counts] has one entry per word of
+    [sq.text.Easm.words]) — [Exp_data.reprofile_squashed] maps them back
+    to source blocks through the rewrite's owner array, which covers the
+    same words.  Buffer, stub and blob executions fall outside the counted
+    text, mirroring a real sampled-PC profiler that cannot attribute
+    scratch-buffer PCs.
     [slots] (default 1) is the number of decompressed-region cache slots;
     slot [s] occupies [buffer_base + 4·buffer_words·s].  With [obs], the
     runtime emits decompression begin/end, buffer-entry, cache-evict and
     stub create/reuse/free events (timestamped in simulated cycles) and
     bumps the [runtime.*] metrics; without it the only overhead is one
     branch per instrumented site, and the outcome is byte-identical.
-    @raise Invalid_argument if [slots < 1] or the slot array would overrun
-    the buffer area (which ends at the data segment). *)
+    @raise Invalid_argument if [slots < 1], if the slot array would
+    overrun the buffer area (which ends at the data segment), or if the
+    text reaches past [Rewrite.blob_base]
+    (["Runtime.launch: text overflows into blob"]). *)
 
 val run :
   ?cost:Cost.model ->

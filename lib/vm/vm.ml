@@ -3,8 +3,8 @@ exception Trap of { pc : int; reason : string }
 type sampler = { period : int; seed : int }
 
 type t = {
-  mem : int array;  (* word-indexed *)
-  decoded : Instr.t option array;
+  mem : int array array;  (* page table over word indices *)
+  decoded : Instr.t option array array;  (* decode cache, one page per [mem] page *)
   regs : int array;
   mutable pc : int;
   mutable running : bool;
@@ -36,6 +36,36 @@ let trap t reason = raise (Trap { pc = t.pc; reason })
 
 let mem_words = Layout.mem_bytes / 4
 
+(* Demand paging: word index [i] lives at [(i lsr page_bits).(i land page_mask)].
+   Every page-table entry starts at a shared page that is never written —
+   [zero_page] for memory, [none_page] for the decode cache — and gets a
+   private page only on the first non-zero store (memory) or the first fetch
+   (decode cache) that lands in it. *)
+let page_bits = 10
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+let page_bytes = 4 * page_words
+let page_count = mem_words / page_words
+let zero_page : int array = Array.make page_words 0
+let none_page : Instr.t option array = Array.make page_words None
+
+let get_word t idx = t.mem.(idx lsr page_bits).(idx land page_mask)
+
+(* Store a word at an in-range index and drop its cached decode.  Writing 0
+   to a page still shared with [zero_page] changes nothing, so allocates
+   nothing. *)
+let set_word t idx v =
+  let p = idx lsr page_bits and off = idx land page_mask in
+  let pg = t.mem.(p) in
+  if pg != zero_page then pg.(off) <- v
+  else if v <> 0 then begin
+    let pg = Array.make page_words 0 in
+    pg.(off) <- v;
+    t.mem.(p) <- pg
+  end;
+  let dp = t.decoded.(p) in
+  if dp != none_page then dp.(off) <- None
+
 (* Deterministic xorshift step, kept positive so [mod] below is safe. *)
 let xorshift s =
   let s = s lxor (s lsl 13) land max_int in
@@ -57,20 +87,15 @@ let create ?(cost = Cost.default) ?(fuel = 1_000_000_000) ?(profile = false) ?sa
   (match sampler with
   | Some s when s.period < 1 -> invalid_arg "Vm.create: sample period must be >= 1"
   | _ -> ());
-  let mem = Array.make mem_words 0 in
-  Array.blit text 0 mem (text_base / 4) (Array.length text);
-  List.iter
-    (fun (off, v) ->
-      let idx = (data_base / 4) + off in
-      if idx < 0 || idx >= mem_words then invalid_arg "Vm.create: data init out of range";
-      mem.(idx) <- v land Word.mask)
-    data_init;
+  let text_idx = text_base / 4 in
+  if text_idx < 0 || text_idx + Array.length text > mem_words then
+    invalid_arg "Vm.create: text out of range";
   let regs = Array.make Reg.count 0 in
   regs.(Reg.sp) <- Layout.stack_top;
   let t =
     {
-      mem;
-      decoded = Array.make mem_words None;
+      mem = Array.make page_count zero_page;
+      decoded = Array.make page_count none_page;
       regs;
       pc = entry;
       running = true;
@@ -98,6 +123,13 @@ let create ?(cost = Cost.default) ?(fuel = 1_000_000_000) ?(profile = false) ?sa
       sample_skips = 0;
     }
   in
+  Array.iteri (fun i w -> set_word t (text_idx + i) w) text;
+  List.iter
+    (fun (off, v) ->
+      let idx = (data_base / 4) + off in
+      if idx < 0 || idx >= mem_words then invalid_arg "Vm.create: data init out of range";
+      set_word t idx (v land Word.mask))
+    data_init;
   (match sampler with
   | None -> ()
   | Some s ->
@@ -128,12 +160,8 @@ let check_word_addr t a =
     trap t (Printf.sprintf "word access out of range at 0x%x" a);
   idx
 
-let load_word t a = t.mem.(check_word_addr t a)
-
-let store_word t a v =
-  let idx = check_word_addr t a in
-  t.mem.(idx) <- v land Word.mask;
-  t.decoded.(idx) <- None
+let load_word t a = get_word t (check_word_addr t a)
+let store_word t a v = set_word t (check_word_addr t a) (v land Word.mask)
 
 let check_byte_addr t a =
   if a < 0 || a >= Layout.mem_bytes then
@@ -141,14 +169,13 @@ let check_byte_addr t a =
 
 let load_byte t a =
   check_byte_addr t a;
-  (t.mem.(a lsr 2) lsr (8 * (a land 3))) land 0xFF
+  (get_word t (a lsr 2) lsr (8 * (a land 3))) land 0xFF
 
 let store_byte t a v =
   check_byte_addr t a;
   let idx = a lsr 2 in
   let shift = 8 * (a land 3) in
-  t.mem.(idx) <- t.mem.(idx) land lnot (0xFF lsl shift) lor ((v land 0xFF) lsl shift);
-  t.decoded.(idx) <- None
+  set_word t idx (get_word t idx land lnot (0xFF lsl shift) lor ((v land 0xFF) lsl shift))
 
 let add_cycles t n = t.cycles <- t.cycles + n
 let icount t = t.icount
@@ -277,12 +304,22 @@ let fetch t =
   if t.pc land 3 <> 0 then trap t "unaligned pc";
   let idx = t.pc lsr 2 in
   if idx < 0 || idx >= mem_words then trap t "pc out of range";
-  match t.decoded.(idx) with
+  let p = idx lsr page_bits and off = idx land page_mask in
+  let dp = t.decoded.(p) in
+  match dp.(off) with
   | Some i -> i
   | None -> (
-    match Instr.decode t.mem.(idx) with
+    match Instr.decode t.mem.(p).(off) with
     | Ok i ->
-      t.decoded.(idx) <- Some i;
+      let dp =
+        if dp != none_page then dp
+        else begin
+          let dp = Array.make page_words None in
+          t.decoded.(p) <- dp;
+          dp
+        end
+      in
+      dp.(off) <- Some i;
       i
     | Error msg -> trap t ("illegal instruction: " ^ msg))
 

@@ -13,7 +13,18 @@
       simulated cycles;
     - {b profiling}: optional per-text-word execution counts, from which
       {!Profile} derives basic-block frequencies; a {!sampler} degrades
-      the exact counts to deterministic periodic samples. *)
+      the exact counts to deterministic periodic samples.
+
+    {b Memory model.}  The {!Layout.mem_bytes} address space is
+    demand-paged: memory is a table of {!page_bytes}-byte pages, and every
+    entry starts at one shared zero page that is never written.  A page
+    gets its own storage on the first non-zero store into it (a store of 0
+    to an untouched page does nothing), so creating a VM costs time and
+    space in proportion to its image, not to the address space.  The
+    decode cache is kept per page the same way: a page's cache is
+    allocated on the first fetch from it, and every store drops the cached
+    decode of the word it writes.  Paging is invisible to programs: the
+    alignment and range traps are those of a flat memory. *)
 
 type t
 
@@ -44,8 +55,11 @@ val create :
   t
 (** [fuel] bounds the number of executed instructions (default 1e9);
     exceeding it raises [Trap].  [input] is the byte stream served by the
-    [getc]/[getw] syscalls.  [sampler] only matters with [~profile:true];
-    @raise Invalid_argument if its period is < 1. *)
+    [getc]/[getw] syscalls.  [sampler] only matters with [~profile:true].
+    @raise Invalid_argument if the sampler's period is < 1, if [text_base]
+    is unaligned, if [text] does not fit in memory at [text_base]
+    (["Vm.create: text out of range"]), or if a [data_init] word falls
+    outside memory. *)
 
 val of_image :
   ?cost:Cost.model ->
@@ -55,6 +69,9 @@ val of_image :
   Layout.image ->
   input:string ->
   t
+
+val page_bytes : int
+(** The size of one memory page (4 KiB); a constant of the simulator. *)
 
 (** {1 Execution} *)
 

@@ -203,6 +203,49 @@ int main() {
         match Runtime.run ~slots:10_000_000 r.Squash.squashed ~input:"" with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "an overflowing slot count must be rejected");
+    Alcotest.test_case "launch rejects text that overflows into the blob" `Quick
+      (fun () ->
+        let p, _ = Squeeze.run (compile fib_src) in
+        let sq = (squash p).Squash.squashed in
+        let words = Array.make (((Rewrite.blob_base - Layout.text_base) / 4) + 1) 0 in
+        let sq = { sq with Rewrite.text = { sq.Rewrite.text with Easm.words } } in
+        Alcotest.check_raises "overflow"
+          (Invalid_argument "Runtime.launch: text overflows into blob") (fun () ->
+            ignore (Runtime.launch sq ~input:"")));
+    Alcotest.test_case "launch loads gsm at theta 1 word for word" `Slow (fun () ->
+        (* The reference is the flat image launch used to build: the Easm
+           text, a zero gap, then the offset table and the little-endian blob
+           words at blob_base. *)
+        let w = Option.get (Workloads.find "gsm") in
+        let p, _ = Squeeze.run (Workload.compile w) in
+        let profile, _ = Profile.collect p ~input:(Workload.profiling_input w) in
+        let sq =
+          (Squash.run ~options:{ Squash.default_options with Squash.theta = 1.0 } p
+             profile)
+            .Squash.squashed
+        in
+        let nregions = Array.length sq.Rewrite.images in
+        Alcotest.(check bool) "has regions" true (nregions > 0);
+        let text = sq.Rewrite.text.Easm.words in
+        let blob_idx = (Rewrite.blob_base - Layout.text_base) / 4 in
+        let flat =
+          Array.make (blob_idx + nregions + ((String.length sq.Rewrite.blob + 3) / 4)) 0
+        in
+        Array.blit text 0 flat 0 (Array.length text);
+        Array.iteri (fun i off -> flat.(blob_idx + i) <- off) sq.Rewrite.blob_offsets;
+        String.iteri
+          (fun i c ->
+            let w = blob_idx + nregions + (i / 4) in
+            flat.(w) <- flat.(w) lor (Char.code c lsl (8 * (i land 3))))
+          sq.Rewrite.blob;
+        let vm, _ = Runtime.launch sq ~input:"" in
+        Array.iteri
+          (fun i expected ->
+            let a = Layout.text_base + (4 * i) in
+            let got = Vm.load_word vm a in
+            if got <> expected then
+              Alcotest.failf "word at 0x%x: 0x%x, expected 0x%x" a got expected)
+          flat);
   ]
 
 (* Byte-identical behaviour for every slot count, across the real workload

@@ -350,4 +350,176 @@ func main {
           Alcotest.(check bool) "hook cycles charged" true (o.Vm.cycles >= 1000));
   ]
 
-let suite = [ ("vm", unit_tests) ]
+(* Demand-paged memory: paging must be invisible, the shared zero and
+   decode pages must never be written, and an empty VM must stay small. *)
+
+let empty_vm () =
+  Vm.create ~text_base:Layout.text_base ~text:[||] ~entry:Layout.text_base
+    ~data_base:Layout.data_base ~data_words:0 ~data_init:[] ~input:"" ()
+
+type mem_op =
+  | Store_word of int * int
+  | Store_byte of int * int
+  | Load_word of int
+  | Load_byte of int
+
+let pp_mem_op = function
+  | Store_word (a, v) -> Printf.sprintf "stw 0x%x <- 0x%x" a v
+  | Store_byte (a, v) -> Printf.sprintf "stb 0x%x <- 0x%x" a v
+  | Load_word a -> Printf.sprintf "ldw 0x%x" a
+  | Load_byte a -> Printf.sprintf "ldb 0x%x" a
+
+(* Byte addresses within 16 bytes of a page boundary, over the first, a
+   few middle and the last pages; values are 0 a third of the time so
+   zero stores land in untouched pages. *)
+let gen_mem_ops =
+  let open QCheck.Gen in
+  let pages = Layout.mem_bytes / Vm.page_bytes in
+  let page = oneofl [ 0; 1; 2; 16; 17; pages / 2; pages - 2; pages - 1 ] in
+  let addr =
+    map2
+      (fun p d -> max 0 (min (Layout.mem_bytes - 1) ((p * Vm.page_bytes) + d)))
+      page (int_range (-16) 15)
+  in
+  let word_addr = map (fun a -> a land lnot 3) addr in
+  let value =
+    frequency
+      [ (1, return 0);
+        (1, int_bound 0xFF);
+        (1, map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF)) ]
+  in
+  list_size (int_range 1 60)
+    (frequency
+       [ (3, map2 (fun a v -> Store_word (a, v)) word_addr value);
+         (3, map2 (fun a v -> Store_byte (a, v)) addr value);
+         (2, map (fun a -> Load_word a) word_addr);
+         (2, map (fun a -> Load_byte a) addr) ])
+
+(* Replays [ops] against a VM and a Hashtbl model of flat memory; true when
+   every load and a final sweep of every touched word agree. *)
+let memory_matches_model ops =
+  let vm = empty_vm () in
+  let model = Hashtbl.create 64 in
+  let word i = Option.value ~default:0 (Hashtbl.find_opt model i) in
+  let ok = ref true in
+  List.iter
+    (function
+      | Store_word (a, v) ->
+        Vm.store_word vm a v;
+        Hashtbl.replace model (a / 4) (v land Word.mask)
+      | Store_byte (a, v) ->
+        Vm.store_byte vm a v;
+        let shift = 8 * (a land 3) in
+        Hashtbl.replace model (a / 4)
+          (word (a / 4) land lnot (0xFF lsl shift) lor ((v land 0xFF) lsl shift))
+      | Load_word a -> if Vm.load_word vm a <> word (a / 4) then ok := false
+      | Load_byte a ->
+        if Vm.load_byte vm a <> (word (a / 4) lsr (8 * (a land 3))) land 0xFF then
+          ok := false)
+    ops;
+  Hashtbl.iter (fun i v -> if Vm.load_word vm (4 * i) <> v then ok := false) model;
+  !ok
+
+let memory_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"paged memory matches a flat model" ~count:300
+         (QCheck.make ~print:(fun l -> String.concat "; " (List.map pp_mem_op l))
+            gen_mem_ops)
+         memory_matches_model);
+    Alcotest.test_case "a fresh VM reads zeros where another VM wrote" `Quick
+      (fun () ->
+        let pages = Layout.mem_bytes / Vm.page_bytes in
+        let addrs =
+          List.concat_map
+            (fun p -> [ p * Vm.page_bytes; ((p + 1) * Vm.page_bytes) - 4 ])
+            [ 0; 1; 16; pages / 2; pages - 1 ]
+        in
+        let vm1 = empty_vm () in
+        List.iter
+          (fun a ->
+            Vm.store_word vm1 a 0xDEADBEEF;
+            Vm.store_byte vm1 (a + 1) 0x5A)
+          addrs;
+        let vm2 = empty_vm () in
+        List.iter
+          (fun a ->
+            Alcotest.(check int) (Printf.sprintf "word 0x%x" a) 0 (Vm.load_word vm2 a);
+            Alcotest.(check int) (Printf.sprintf "byte 0x%x" (a + 1)) 0
+              (Vm.load_byte vm2 (a + 1)))
+          addrs;
+        Alcotest.(check int) "vm1 kept its store" 0xDEAD5AEF
+          (Vm.load_word vm1 (List.hd addrs)));
+    Alcotest.test_case "self-modifying text re-decodes in an unfetched page" `Quick
+      (fun () ->
+        (* main copies "lda a0, 77; sys exit" from data to [dst] and jumps
+           there.  [dst] is either the text's second page, which no fetch has
+           touched and which holds a stale "lda a0, 1; sys exit", or an
+           untouched all-zero page past the text. *)
+        let t0 = 1 and t1 = 2 and t2 = 3 in
+        let a0 = List.hd Reg.args in
+        let exit_with disp =
+          List.map Instr.encode
+            Instr.[ Lda { ra = a0; rb = Reg.zero; disp }; Sys (Syscall.to_code Syscall.Exit) ]
+        in
+        let load_addr r a =
+          let hi, lo = Easm.split_addr a in
+          Instr.[ Ldah { ra = r; rb = Reg.zero; disp = hi }; Lda { ra = r; rb = r; disp = lo } ]
+        in
+        let page_words = Vm.page_bytes / 4 in
+        let run_patched dst =
+          let main =
+            load_addr t0 Layout.data_base @ load_addr t2 dst
+            @ Instr.
+                [ Mem { op = Ldw; ra = t1; rb = t0; disp = 0 };
+                  Mem { op = Stw; ra = t1; rb = t2; disp = 0 };
+                  Mem { op = Ldw; ra = t1; rb = t0; disp = 4 };
+                  Mem { op = Stw; ra = t1; rb = t2; disp = 4 };
+                  Jmp { ra = Reg.zero; rb = t2; hint = 0 } ]
+          in
+          let text = Array.make (page_words + 2) (Instr.encode Instr.Nop) in
+          List.iteri (fun i w -> text.(i) <- w) (List.map Instr.encode main);
+          List.iteri (fun i w -> text.(page_words + i) <- w) (exit_with 1);
+          let vm =
+            Vm.create ~text_base:Layout.text_base ~text ~entry:Layout.text_base
+              ~data_base:Layout.data_base ~data_words:2
+              ~data_init:(List.mapi (fun i w -> (i, w)) (exit_with 77))
+              ~input:"" ()
+          in
+          Vm.run vm
+        in
+        check_exit "patched text page" 77
+          (run_patched (Layout.text_base + Vm.page_bytes));
+        check_exit "patched zero page" 77
+          (run_patched (Layout.text_base + (8 * Vm.page_bytes))));
+    Alcotest.test_case "create rejects text that does not fit in memory" `Quick
+      (fun () ->
+        Alcotest.check_raises "text past the end"
+          (Invalid_argument "Vm.create: text out of range") (fun () ->
+            ignore
+              (Vm.create ~text_base:(Layout.mem_bytes - 4) ~text:[| 0; 0 |]
+                 ~entry:0 ~data_base:Layout.data_base ~data_words:0 ~data_init:[]
+                 ~input:"" ())));
+    Alcotest.test_case "creating a small VM allocates a small fraction of memory"
+      `Quick (fun () ->
+        (* Flat memory plus a flat decode cache came to 2 * 4_194_304 words. *)
+        let img =
+          match Asm.parse_program "func main {\n .0:\n lda a0, 3(zero)\n sys exit\n halt\n}" with
+          | Ok p -> Layout.emit p
+          | Error e -> Alcotest.fail e
+        in
+        let allocated () =
+          let s = Gc.quick_stat () in
+          s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+        in
+        let before = allocated () in
+        let vm = Vm.of_image img ~input:"" in
+        let words = allocated () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words allocated, under 1/16 of 8388608" words)
+          true
+          (words < 8_388_608. /. 16.);
+        check_exit "still runs" 3 (Vm.run vm));
+  ]
+
+let suite = [ ("vm", unit_tests @ memory_tests) ]
