@@ -10,9 +10,9 @@
                                                # wall-clock + key metrics
      dune exec bench/main.exe -- --jobs N      # engine pool size (default:
                                                # $JOBS, then domain count)
-     dune exec bench/main.exe -- --no-cache    # skip the _cache/ store
-     dune exec bench/main.exe -- --repeat N    # time each experiment N times
-                                               # (for benchdiff significance)
+     dune exec bench/main.exe -- --repeat N    # time each experiment N times,
+                                               # each from scratch (for
+                                               # benchdiff significance)
      dune exec bench/main.exe -- --no-ledger   # skip the _bench/history.jsonl
                                                # run-ledger append           *)
 
@@ -84,8 +84,7 @@ let micro_tests () =
   ]
 
 (* The simulator's steady-state dispatch rate, measured over one long run
-   (VM creation allocates the 16 MiB memory image, so per-run timing through
-   bechamel would mostly measure allocation). *)
+   so that it times instruction dispatch, not VM creation. *)
 let vm_throughput () =
   let vm_prog =
     Minic.compile_exn
@@ -96,11 +95,13 @@ let vm_throughput () =
   let t0 = Unix.gettimeofday () in
   let outcome = Vm.run vm in
   let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "%-40s %8.1f M instr/s (%d instructions in %.2fs)\n"
-    "vm dispatch rate" 
-    (float_of_int outcome.Vm.icount /. dt /. 1e6)
-    outcome.Vm.icount dt
+  let rate = float_of_int outcome.Vm.icount /. dt /. 1e6 in
+  Experiments.record_metric "vm_minstr_per_s" (Report.Json.Float rate);
+  Printf.sprintf "%-40s %8.1f M instr/s (%d instructions in %.2fs)\n"
+    "vm dispatch rate" rate outcome.Vm.icount dt
 
+(* Bechamel's OLS estimate of each test's time per run, printed and
+   recorded as the [ns_per_run] metric. *)
 let run_micro () =
   let open Bechamel in
   let ols =
@@ -113,26 +114,46 @@ let run_micro () =
   let grouped = Test.make_grouped ~name:"micro" ~fmt:"%s/%s" (micro_tests ()) in
   let raw = Benchmark.all cfg instances grouped in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  Printf.printf "%-40s %s\n" "benchmark" "time per run";
-  Printf.printf "%s\n" (String.make 64 '-');
+  let rows =
+    Hashtbl.fold
+      (fun name ols acc ->
+        let est =
+          match Analyze.OLS.estimates ols with
+          | Some (est :: _) -> Some est
+          | Some [] | None -> None
+        in
+        (name, est) :: acc)
+      results []
+    |> List.sort compare
+  in
+  Experiments.record_metric "ns_per_run"
+    (Report.Json.Obj
+       (List.map
+          (fun (name, est) ->
+            ( name,
+              match est with
+              | Some ns -> Report.Json.Float ns
+              | None -> Report.Json.Null ))
+          rows));
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%-40s %s\n" "benchmark" "time per run";
+  Printf.bprintf b "%s\n" (String.make 64 '-');
   List.iter
-    (fun (name, ols) ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> Printf.sprintf "%12.1f ns" est
-        | Some [] | None -> "           n/a"
-      in
-      Printf.printf "%-40s %s\n" name ns)
-    (List.sort compare rows);
-  vm_throughput ();
-  Printf.printf "\n"
+    (fun (name, est) ->
+      Printf.bprintf b "%-40s %s\n" name
+        (match est with
+        | Some ns -> Printf.sprintf "%12.1f ns" ns
+        | None -> "           n/a"))
+    rows;
+  Buffer.add_string b (vm_throughput ());
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let jobs = ref None and no_cache = ref false in
+  let jobs = ref None in
   let repeat = ref 1 and no_ledger = ref false in
   let json = ref None in
   let rec split_json acc = function
@@ -164,9 +185,6 @@ let () =
     | "--repeat" :: [] ->
       prerr_endline "--repeat requires a positive integer";
       exit 1
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      split_json acc rest
     | "--no-ledger" :: rest ->
       no_ledger := true;
       split_json acc rest
@@ -181,22 +199,33 @@ let () =
      replays its runtime aggregates into the metrics registry. *)
   let obs = Obs.full () in
   Exp_grid.set_obs (Some obs);
-  let cache = if !no_cache then None else Some (Cache.create ~obs ()) in
-  Exp_data.set_cache cache;
-  Printf.printf "engine: %d jobs; cache: %s\n%!" (Exp_grid.jobs ())
-    (match cache with None -> "disabled" | Some c -> Cache.dir c);
+  Printf.printf "engine: %d jobs\n%!" (Exp_grid.jobs ());
   let requested =
     match ids with
     | _ :: _ -> ids
     | [] -> List.map fst Experiments.all @ [ "micro" ]
   in
   let t0 = Unix.gettimeofday () in
+  (* The workloads' inputs are generated lazily and never reset, so they
+     are forced here, outside every timed sample. *)
+  List.iter
+    (fun wl ->
+      ignore
+        ( Workload.profiling_input wl,
+          Workload.timing_input wl,
+          Workload.drift_input wl ))
+    Workloads.all;
+  let setup = Unix.gettimeofday () -. t0 in
+  Printf.printf "setup: workload inputs in %.2fs\n%!" setup;
   let unknown = ref [] in
   let recorded = ref [] in
   let samples_by_id = ref [] in
-  (* Metrics are drained once per experiment, after its last repetition,
-     so with [--repeat n] each experiment's counters cover all n runs. *)
-  let record id samples =
+  (* Every sample recomputes from scratch ({!Experiments.sample}); only
+     the first one's report is printed and its metrics recorded. *)
+  let run id f =
+    let s = Experiments.sample ~repeat:!repeat f in
+    print_string s.Experiments.report;
+    let samples = s.Experiments.seconds in
     samples_by_id := (id, samples) :: !samples_by_id;
     recorded :=
       Report.Json.Obj
@@ -205,44 +234,27 @@ let () =
           ( "samples",
             Report.Json.List
               (List.map (fun s -> Report.Json.Float s) samples) );
-          ("metrics", Report.Json.Obj (Experiments.drain_metrics ())) ]
+          ("metrics", Report.Json.Obj s.Experiments.metrics) ]
       :: !recorded
-  in
-  (* Time [f] [--repeat] times; only the first repetition's report is
-     printed (later ones are warm re-measurements for the t-test). *)
-  let timed_samples f =
-    List.init !repeat (fun rep ->
-        let start = Unix.gettimeofday () in
-        let out = f () in
-        let dt = Unix.gettimeofday () -. start in
-        if rep = 0 then print_string out;
-        dt)
   in
   List.iter
     (fun id ->
       match List.assoc_opt id Experiments.all with
       | Some f ->
         hr id;
-        record id (timed_samples f);
+        run id f;
         Printf.printf "[%s done at %.1fs]\n%!" id (Unix.gettimeofday () -. t0)
       | None ->
         if id = "micro" then begin
           hr "micro (bechamel)";
-          record id
-            (List.init !repeat (fun _ ->
-                 let start = Unix.gettimeofday () in
-                 run_micro ();
-                 Unix.gettimeofday () -. start))
+          run id run_micro
         end
         else unknown := id :: !unknown)
     requested;
   let total = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal time: %.1fs\n" total;
-  (match cache with
-  | None -> ()
-  | Some c -> print_endline (Cache.render_stats c));
   (* A representative runtime-stats sample (first workload, θ=0.01),
-     served from the memo/cache when warm.  Its scalar counters are
+     served from the memo when the last experiment built it.  Its scalar counters are
      deterministic at a fixed revision, which is what lets benchdiff
      treat any drift in them as a behaviour change. *)
   let runtime_sample =
@@ -267,19 +279,15 @@ let () =
         | None -> Report.Json.Null );
       ("jobs", Report.Json.Int (Exp_grid.jobs ()));
       ("repeat", Report.Json.Int !repeat);
+      ("setup_seconds", Report.Json.Float setup);
       ("total_seconds", Report.Json.Float total) ]
-  in
-  let cache_field =
-    match cache with
-    | None -> []
-    | Some c -> [ ("cache", Cache.stats_json c) ]
   in
   (match json_file with
   | None -> ()
   | Some file ->
     let doc =
       Report.Json.Obj
-        (provenance @ cache_field
+        (provenance
         @ [ ("experiments", Report.Json.List (List.rev !recorded));
             ( "metrics",
               match obs.Obs.metrics with
@@ -313,7 +321,7 @@ let () =
      in
      let entry =
        Report.Json.Obj
-         (provenance @ cache_field
+         (provenance
          @ [ ("experiments", Report.Json.List slim);
              ("runtime_sample", runtime_sample) ])
      in

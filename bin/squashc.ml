@@ -837,17 +837,6 @@ let grid_cmd =
           ~doc:"Engine pool size (default: \\$JOBS, then the recommended \
                 domain count).")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Do not read or write the persistent cache.")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt string Cache.default_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Persistent cache directory.")
-  in
   let json_out =
     Arg.(
       value
@@ -872,8 +861,8 @@ let grid_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Trace the grid run into sharded per-domain sinks (engine \
-                job spans, pipeline pass spans, cache latencies) and write \
-                the deterministic merged export here.")
+                job spans, pipeline pass spans) and write the deterministic \
+                merged export here.")
   in
   let trace_format =
     Arg.(
@@ -882,8 +871,8 @@ let grid_cmd =
       & info [ "trace-format" ] ~docv:"FMT"
           ~doc:"Trace file format: $(b,chrome) or $(b,jsonl).")
   in
-  let run names thetas ks timing cache_slots jobs no_cache cache_dir json_out
-      csv_out stats_flag trace_out trace_format =
+  let run names thetas ks timing cache_slots jobs json_out csv_out stats_flag
+      trace_out trace_format =
     let wls = find_workloads names in
     let obs =
       match trace_out with
@@ -895,10 +884,6 @@ let grid_cmd =
         let pool = (match jobs with Some j -> j | None -> Exp_grid.jobs ()) in
         Some (Obs.full ~shards:(pool + 1) ())
     in
-    let cache =
-      if no_cache then None else Some (Cache.create ~dir:cache_dir ?obs ())
-    in
-    Exp_data.set_cache cache;
     Exp_grid.set_obs obs;
     (* Workload-innermost order so the first [jobs] cells touch distinct
        workloads and the prepare stages parallelise. *)
@@ -923,9 +908,6 @@ let grid_cmd =
         "engine: %d cells on %d workers in %.2fs (busy %.2fs, %d failed)\n"
         stats.Engine.submitted stats.Engine.pool stats.Engine.wall_s
         stats.Engine.busy_s stats.Engine.failed;
-    (match cache with
-    | None -> ()
-    | Some c -> print_endline (Cache.render_stats c));
     (match (trace_out, obs) with
     | Some path, Some o ->
       let tr = Option.get o.Obs.trace in
@@ -945,12 +927,9 @@ let grid_cmd =
     | _ -> ());
     let doc =
       Report.Json.Obj
-        ([ ("schema", Report.Json.String "pgcc-grid-v1");
-           ("engine", Engine.stats_json stats) ]
-        @ (match cache with
-          | None -> []
-          | Some c -> [ ("cache", Cache.stats_json c) ])
-        @ [ ("cells", Exp_grid.to_json results) ])
+        [ ("schema", Report.Json.String "pgcc-grid-v1");
+          ("engine", Engine.stats_json stats);
+          ("cells", Exp_grid.to_json results) ]
     in
     (match json_out with
     | None -> ()
@@ -972,8 +951,7 @@ let grid_cmd =
              engine.")
     Term.(
       const run $ workloads_arg "sweep" $ thetas $ ks $ timing $ cache_slots_arg
-      $ jobs $ no_cache $ cache_dir $ json_out $ csv_out $ stats_flag
-      $ trace_out $ trace_format)
+      $ jobs $ json_out $ csv_out $ stats_flag $ trace_out $ trace_format)
 
 (* --- benchdiff -------------------------------------------------------- *)
 

@@ -6,9 +6,7 @@
     Huffman coder and its move-to-front variant ({!Coder_split}) and the
     order-1 context coder ({!Coder_context}).  {!Compress} holds a pure-data
     model value for the selected backend and dispatches through first-class
-    modules; keeping the model first-order (no closures, no packed modules)
-    is what lets squash results travel through [Marshal] into the
-    experiment cache.
+    modules.
 
     Every backend is sentinel-terminated: [build]/[encode_regions] append an
     encoded {!Instr.Sentinel} to each region, and {!decode_instrs}, the one
@@ -25,7 +23,7 @@ type work = {
 
 module type S = sig
   type model
-  (** Pure data: marshal-safe, no closures or packed modules. *)
+  (** Pure data: no closures or packed modules. *)
 
   val build : Instr.t list array -> model
   (** Build the model from all region instruction sequences at once

@@ -1,6 +1,6 @@
 (* Backend dispatch for the coder abstraction.  The model data lives in a
-   plain variant so squash results stay marshal-safe; [pack] wraps it in a
-   first-class {!Coder.S} module at each use site. *)
+   plain variant; [pack] wraps it in a first-class {!Coder.S} module at
+   each use site. *)
 
 type backend = [ `Split_stream | `Split_stream_mtf | `Context ]
 type work = Coder.work = { bits : int; steps : int }

@@ -24,7 +24,7 @@ type backend = [ `Split_stream | `Split_stream_mtf | `Context ]
 
 val coders : (string * backend) list
 (** Every backend under its stable lower-case name ("huffman", "mtf",
-    "context"), in that order.  The CLI's [--coder], the experiment cache
+    "context"), in that order.  The CLI's [--coder], the experiment memo
     keys and {!coder_name} all read this table. *)
 
 type work = Coder.work = {
@@ -33,7 +33,7 @@ type work = Coder.work = {
 }
 
 type codes
-(** Pure data (marshal-safe): a backend tag plus its model. *)
+(** Pure data: a backend tag plus its model. *)
 
 val build_codes : ?backend:backend -> Instr.t list array -> codes
 (** Build the coder model from all region instruction sequences (the

@@ -10,15 +10,20 @@ type prepared = {
 
 let fuel = 2_000_000_000
 
-(* The persistent cache (None = disabled).  The bench driver and squashc
-   point this at _cache/; the test suite at temporary directories. *)
-let cache : Cache.t option ref = ref None
-
-let set_cache c = cache := c
-let current_cache () = !cache
+(* Hex MD5 of the strings, each length-prefixed so the partition into
+   list elements matters: ["ab"; "c"] and ["a"; "bc"] differ. *)
+let digest parts =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun s ->
+      Buffer.add_string b (string_of_int (String.length s));
+      Buffer.add_char b ':';
+      Buffer.add_string b s)
+    parts;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let workload_digest (wl : Workload.t) =
-  Cache.digest
+  digest
     [ wl.Workload.source; Workload.profiling_input wl; Workload.timing_input wl;
       Workload.drift_input wl ]
 
@@ -54,25 +59,20 @@ let prepare (wl : Workload.t) =
   Memo.get prepared_memo
     (wl.Workload.name ^ ":" ^ digest)
     (fun () ->
-      let input_prog, squeezed, squeeze_stats, profile, profile_outcome =
-        Cache.memo !cache ~kind:"prepared" ~key:digest (fun () ->
-            let compiled = Workload.compile wl in
-            let input_prog = Squeeze.remove_unreachable compiled in
-            let squeezed, squeeze_stats = Squeeze.run compiled in
-            let profile, profile_outcome =
-              Profile.collect ~fuel squeezed
-                ~input:(Workload.profiling_input wl)
-            in
-            (input_prog, squeezed, squeeze_stats, profile, profile_outcome))
+      let compiled = Workload.compile wl in
+      let input_prog = Squeeze.remove_unreachable compiled in
+      let squeezed, squeeze_stats = Squeeze.run compiled in
+      let profile, profile_outcome =
+        Profile.collect ~fuel squeezed ~input:(Workload.profiling_input wl)
       in
       { wl; digest; input_prog; squeezed; squeeze_stats; profile;
         profile_outcome })
 
 (* ------------------------------------------------------------------ *)
 (* Profile provenance (lifecycle experiments).  A [profile_spec] names
-   which profile guides compression; its label is part of every memo and
-   persistent-cache key downstream, so an estimated (sampled / decayed /
-   truncated) profile can never alias the exact one in [_cache/]. *)
+   which profile guides compression; its label is part of every memo key
+   downstream, so an estimated (sampled / decayed / truncated) profile can
+   never alias the exact one. *)
 
 type profile_spec =
   | Pexact
@@ -103,39 +103,31 @@ let profile_for p spec =
     Memo.get profile_memo
       (p.digest ^ "|" ^ spec_label spec)
       (fun () ->
-        Cache.memo !cache ~kind:"profile"
-          ~key:(Cache.digest [ p.digest; spec_label spec ])
-          (fun () ->
-            match spec with
-            | Pexact -> p.profile
-            | Poracle ->
-              fst (Profile.collect ~fuel p.squeezed ~input:(Workload.drift_input p.wl))
-            | Psampled { period; seed } ->
-              fst
-                (Profile.collect_sampled ~fuel ~period ~seed p.squeezed
-                   ~input:(Workload.profiling_input p.wl))
-            | Pdecayed { factor; steps } ->
-              let rec go n prof =
-                if n <= 0 then prof else go (n - 1) (Profile_ops.decay prof ~factor)
-              in
-              go steps p.profile
-            | Ptruncated { keep } -> Profile_ops.truncate_top p.profile ~keep))
+        match spec with
+        | Pexact -> p.profile
+        | Poracle ->
+          fst (Profile.collect ~fuel p.squeezed ~input:(Workload.drift_input p.wl))
+        | Psampled { period; seed } ->
+          fst
+            (Profile.collect_sampled ~fuel ~period ~seed p.squeezed
+               ~input:(Workload.profiling_input p.wl))
+        | Pdecayed { factor; steps } ->
+          let rec go n prof =
+            if n <= 0 then prof else go (n - 1) (Profile_ops.decay prof ~factor)
+          in
+          go steps p.profile
+        | Ptruncated { keep } -> Profile_ops.truncate_top p.profile ~keep)
 
 let baseline_timing ?(on = `Timing) p =
   let key = p.digest ^ "|run=" ^ run_label on in
   Memo.get baseline_memo key (fun () ->
-      Cache.memo !cache ~kind:"baseline"
-        ~key:(Cache.digest [ p.digest; run_label on ])
-        (fun () ->
-          Vm.run
-            (Vm.of_image ~fuel (Layout.emit p.squeezed) ~input:(run_input_string p on))))
+      Vm.run
+        (Vm.of_image ~fuel (Layout.emit p.squeezed) ~input:(run_input_string p on)))
 
 let squash_result ?(pspec = Pexact) p options =
   let okey = options_key options ^ "|profile=" ^ spec_label pspec in
   Memo.get squash_memo (p.digest ^ "|" ^ okey) (fun () ->
-      Cache.memo !cache ~kind:"squash"
-        ~key:(Cache.digest [ p.digest; okey ])
-        (fun () -> Squash.run ~options p.squeezed (profile_for p pspec)))
+      Squash.run ~options p.squeezed (profile_for p pspec))
 
 let squash_with_profile p options profile =
   Squash.run ~options p.squeezed profile
@@ -147,25 +139,22 @@ let timing_run ?(slots = 1) ?(pspec = Pexact) ?(on = `Timing) p (r : Squash.resu
     ^ "|profile=" ^ spec_label pspec ^ "|run=" ^ run_label on
   in
   Memo.get timing_memo (p.digest ^ "|" ^ okey) (fun () ->
-      (* The divergence check runs before the entry is persisted, so a
-         cached timing outcome is always a verified one. *)
-      Cache.memo !cache ~kind:"timing"
-        ~key:(Cache.digest [ p.digest; okey ])
-        (fun () ->
-          let input = run_input_string p on in
-          let outcome, stats = Runtime.run ~fuel ~slots r.Squash.squashed ~input in
-          let baseline = baseline_timing ~on p in
-          if
-            outcome.Vm.output <> baseline.Vm.output
-            || outcome.Vm.exit_code <> baseline.Vm.exit_code
-          then
-            failwith
-              (Printf.sprintf
-                 "%s: squashed program diverged from baseline (θ=%g, profile=%s, \
-                  run=%s)"
-                 p.wl.Workload.name r.Squash.options.Squash.theta (spec_label pspec)
-                 (run_label on));
-          (outcome, stats)))
+      (* The divergence check runs before the entry is memoized, so a
+         memoized timing outcome is always a verified one. *)
+      let input = run_input_string p on in
+      let outcome, stats = Runtime.run ~fuel ~slots r.Squash.squashed ~input in
+      let baseline = baseline_timing ~on p in
+      if
+        outcome.Vm.output <> baseline.Vm.output
+        || outcome.Vm.exit_code <> baseline.Vm.exit_code
+      then
+        failwith
+          (Printf.sprintf
+             "%s: squashed program diverged from baseline (θ=%g, profile=%s, \
+              run=%s)"
+             p.wl.Workload.name r.Squash.options.Squash.theta (spec_label pspec)
+             (run_label on));
+      (outcome, stats))
 
 (* Re-profile an already-squashed image: run it under the profiling VM and
    map per-word counts back to source blocks through the rewrite's owner
@@ -208,7 +197,7 @@ let theta_grid = [ 0.0; 1e-5; 5e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0 ]
    so the paper's cold-block cutoffs correspond to θ roughly an order of
    magnitude larger here.  Each paper point is multiplied by this factor
    and snapped to the log-nearest {!theta_grid} member so Fig. 7 reuses
-   cached squash results.  The label/value pairs below are DERIVED — a
+   memoized squash results.  The label/value pairs below are DERIVED — a
    hand-edit that makes labels equal values silently corrupts F7a/F7b. *)
 let theta_rescale = 10.0
 

@@ -8,9 +8,8 @@
     profiling input, timing input — {!workload_digest}) plus the full
     option record ({!options_key}), never by workload name alone: a
     changed workload hashes to a different key and can never serve a stale
-    artifact.  When a persistent {!Cache.t} is installed ({!set_cache}),
-    the same keys address the on-disk store, so a warm rerun in a fresh
-    process skips compilation, profiling, squashing and timing entirely.
+    artifact.  The memos live only in this process; {!reset} empties them,
+    so the next call recomputes from the workload source.
 
     The θ scale: the paper's thresholds are fractions of the {e profiled}
     dynamic instruction count, and its profiling runs execute billions of
@@ -23,7 +22,7 @@
 
 type prepared = {
   wl : Workload.t;
-  digest : string;  (** {!workload_digest} of [wl]; the cache key root. *)
+  digest : string;  (** {!workload_digest} of [wl]; the memo key root. *)
   input_prog : Prog.t;
       (** After unreachable-code and no-op elimination only — the paper's
           Table 1 "Input" column. *)
@@ -33,21 +32,16 @@ type prepared = {
   profile_outcome : Vm.outcome;
 }
 
-val set_cache : Cache.t option -> unit
-(** Install (or remove) the persistent result cache backing every memo
-    below.  Default: disabled. *)
-
-val current_cache : unit -> Cache.t option
-
 val workload_digest : Workload.t -> string
-(** Content digest of source text + profiling, timing and drift inputs. *)
+(** Hex MD5 of the source text and the profiling, timing and drift
+    inputs, each length-prefixed so that two workloads whose fields
+    concatenate to the same string still get different digests. *)
 
 val options_key : Squash.options -> string
 (** Canonical fingerprint of the full option record (every field). *)
 
 (** Which profile guides compression (the P8 lifecycle axis).  The spec's
-    {!spec_label} is folded into every downstream memo and persistent-cache
-    key, so results built from estimated profiles never alias exact ones. *)
+    {!spec_label} is folded into every downstream memo key, so results built from estimated profiles never alias exact ones. *)
 type profile_spec =
   | Pexact  (** The exact profile from the profiling input (status quo). *)
   | Poracle
@@ -69,12 +63,14 @@ type run_input = [ `Timing | `Drift ]
 val run_label : run_input -> string
 
 val profile_for : prepared -> profile_spec -> Profile.t
-(** Materialise the spec'd profile (memoized; persisted under kind
-    ["profile"] keyed by workload digest + spec label). *)
+(** Materialise the spec'd profile (memoized by workload digest + spec
+    label). *)
 
 val reset : unit -> unit
-(** Clear the in-process memo tables (the persistent cache is untouched).
-    For tests — e.g. forcing recomputation to compare cold/warm runs. *)
+(** Clear every memo table, so each later call recomputes its artifact.
+    The bench harness calls it before every timed sample; tests call it to
+    compare a recomputed run with an earlier one.  Do not call it
+    concurrently with the functions below. *)
 
 val prepare : Workload.t -> prepared
 (** Memoized by workload name + content digest. *)
@@ -105,10 +101,10 @@ val timing_run :
     [`Timing]), checking that its output matches the matching baseline
     exactly.  [slots] (default 1) is the runtime's region-cache slot
     count; it, the profile spec and the run input are all part of the memo
-    and persistent-cache key, since they change cycle counts (or the
+    key, since they change cycle counts (or the
     image) without changing the workload.  [pspec] must name the profile
-    the squash result was built from.  Memoized like {!squash_result}; a
-    persisted entry was verified before it was stored.
+    the squash result was built from.  Memoized like {!squash_result}; an
+    entry is verified before it is memoized.
     @raise Failure on a behaviour mismatch. *)
 
 val reprofile_squashed : Squash.result -> input:string -> Profile.t * Vm.outcome

@@ -78,10 +78,10 @@ let eval_cell c =
         Exp_data.timing_run ~slots:c.slots ~pspec:c.pspec ~on:c.run_on p r
       in
       let baseline = Exp_data.baseline_timing ~on:c.run_on p in
-      (* The timing run may have been served from the memo or the
-         persistent cache, in which case no live runtime events fired;
-         replaying the aggregates keeps the metrics snapshot identical
-         on cold and warm paths. *)
+      (* The timing run may have been served from the memo, in which case
+         no live runtime events fired; replaying the aggregates keeps the
+         metrics snapshot the same whether this cell computed the run or
+         reused it. *)
       (match !obs_sink with
       | None -> ()
       | Some o -> Runtime.observe_stats o stats);

@@ -3,8 +3,7 @@
     A {e cell} is one point of the paper's evaluation grid — a workload
     under one full squash configuration, optionally including the timing
     run.  {!run} evaluates a batch of cells on the {!Engine} domain pool,
-    backed by the thread-safe {!Exp_data} memos (and the persistent cache
-    when one is installed).  Cells are crash-isolated: a VM trap, fuel
+    backed by the thread-safe {!Exp_data} memos.  Cells are crash-isolated: a VM trap, fuel
     exhaustion or invariant failure marks that cell failed with a
     structured {!Engine.job_error} and the rest of the grid completes.
 
@@ -60,7 +59,7 @@ val set_obs : Obs.t option -> unit
 (** Install an observability sink for subsequent {!run} calls: the engine
     emits job submit/start/finish spans into it, and each timing cell
     replays its runtime aggregates into the metrics registry (via
-    {!Runtime.observe_stats}, so cached and live evaluations produce the
+    {!Runtime.observe_stats}, so memoized and live evaluations produce the
     same snapshot). *)
 
 val jobs : unit -> int

@@ -3,23 +3,35 @@ let opts theta = { Squash.default_options with Squash.theta }
 let with_all f = List.map (fun wl -> f (Exp_data.prepare wl)) Workloads.all
 
 (* Machine-readable metrics: experiments push (key, value) pairs as they
-   run; the bench driver drains them after each experiment into its
+   run; [sample] collects them after each run for the bench harness's
    [--json] report. *)
 let metrics : (string * Report.Json.t) list ref = ref []
 let record_metric key v = metrics := (key, v) :: !metrics
 
-let drain_metrics () =
-  let m = List.rev !metrics in
-  metrics := [];
-  m
+type sampled = {
+  report : string;
+  seconds : float list;
+  metrics : (string * Report.Json.t) list;
+}
+
+let sample ~repeat f =
+  let run () =
+    metrics := [];
+    Exp_data.reset ();
+    let start = Unix.gettimeofday () in
+    let report = f () in
+    (report, Unix.gettimeofday () -. start, List.rev !metrics)
+  in
+  let report, first, metrics = run () in
+  let rest = List.init (repeat - 1) (fun _ -> let _, dt, _ = run () in dt) in
+  { report; seconds = first :: rest; metrics }
 
 (* Every driver submits its cell set to the engine up front: the grid is
-   evaluated concurrently (and through the persistent cache) into the
-   Exp_data memos, then the rendering below reads the warm memos.  Cells
-   are listed workload-innermost so the first [jobs] dequeued cells touch
-   distinct workloads and their prepare stages parallelise.  A failed cell
-   is surfaced as a metric (and will re-raise during rendering if the
-   renderer actually needs it). *)
+   evaluated concurrently into the Exp_data memos, then the rendering below
+   reads the warm memos.  Cells are listed workload-innermost so the first
+   [jobs] dequeued cells touch distinct workloads and their prepare stages
+   parallelise.  A failed cell is surfaced as a metric (and will re-raise
+   during rendering if the renderer actually needs it). *)
 let submit cells =
   let results, stats = Exp_grid.run ~jobs:(Exp_grid.jobs ()) cells in
   record_metric "engine" (Engine.stats_json stats);

@@ -67,10 +67,24 @@ val lifecycle : unit -> string
     iterative-stability pass (squash → re-profile the squashed image →
     re-squash, asserting footprint convergence). *)
 
-val drain_metrics : unit -> (string * Report.Json.t) list
-(** Key metrics recorded by the experiments run since the last drain
-    (e.g. geo-mean size reduction, region-formation seconds), for the
-    bench driver's [--json] output. *)
+val record_metric : string -> Report.Json.t -> unit
+(** Record a key metric (e.g. geo-mean size reduction, region-formation
+    seconds) for the bench harness's [--json] output; {!sample} collects
+    it. *)
+
+type sampled = {
+  report : string;  (** The first sample's rendered report. *)
+  seconds : float list;  (** Wall-clock seconds of every sample, in order. *)
+  metrics : (string * Report.Json.t) list;
+      (** The metrics the first sample recorded, in order; later samples'
+          are discarded, so each key appears as often as one run records
+          it. *)
+}
+
+val sample : repeat:int -> (unit -> string) -> sampled
+(** Time [repeat] (>= 1) runs of [f], each after {!Exp_data.reset}, so
+    every sample recomputes its artifacts and its time does not depend on
+    what ran before it. *)
 
 val all : (string * (unit -> string)) list
 (** Every experiment, keyed by the id used in DESIGN.md. *)

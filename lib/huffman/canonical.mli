@@ -11,9 +11,8 @@
     mapping every probe value that starts with a short codeword straight to
     its (symbol, length); codewords longer than the probe width fall back
     to the paper's DECODE loop, which consumes one bit per iteration and
-    needs no pointer-based tree.  The table is plain data, so codes stay
-    marshal-safe and the table ships with the model inside cached squash
-    results. *)
+    needs no pointer-based tree.  The table is plain data that ships with
+    the model inside squash results. *)
 
 type t
 

@@ -1,26 +1,7 @@
 (* The parallel experiment engine: scheduler crash isolation, the
-   compute-once memo, the persistent content-addressed cache, digest-keyed
-   Exp_data, and the grid determinism regression (engine at --jobs 1 /
-   --jobs 4, cold vs warm cache, all byte-identical to the sequential
-   path). *)
-
-let qcheck = QCheck_alcotest.to_alcotest
-
-let rm_rf dir =
-  let rec go path =
-    match Sys.is_directory path with
-    | true ->
-      Array.iter (fun f -> go (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  go dir
-
-let fresh_dir name =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
-  rm_rf dir;
-  dir
+   compute-once memo, digest-keyed Exp_data, the bench sampler, and the
+   grid determinism regression (engine at --jobs 1 / --jobs 4, and again
+   after a memo reset, all byte-identical to the sequential path). *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -134,64 +115,6 @@ let memo_tests =
 
 (* ------------------------------------------------------------------ *)
 
-let cache_tests =
-  [
-    Alcotest.test_case "store/find round-trips" `Quick (fun () ->
-        let c = Cache.create ~dir:(fresh_dir "pgcc-cache-rt") () in
-        let key = Cache.digest [ "some"; "content" ] in
-        Alcotest.(check bool) "cold miss" true
-          (Cache.find c ~kind:"t" ~key = (None : (int * string) option));
-        Cache.store c ~kind:"t" ~key (17, "hello");
-        Alcotest.(check (option (pair int string))) "hit" (Some (17, "hello"))
-          (Cache.find c ~kind:"t" ~key);
-        let s = Cache.stats c in
-        Alcotest.(check int) "hits" 1 s.Cache.hits;
-        Alcotest.(check int) "misses" 1 s.Cache.misses;
-        Alcotest.(check int) "stores" 1 s.Cache.stores);
-    Alcotest.test_case "digest separates content, not concatenation" `Quick
-      (fun () ->
-        Alcotest.(check bool) "ab|c <> a|bc" true
-          (Cache.digest [ "ab"; "c" ] <> Cache.digest [ "a"; "bc" ]);
-        Alcotest.(check string) "deterministic"
-          (Cache.digest [ "x" ]) (Cache.digest [ "x" ]));
-    Alcotest.test_case "stale or corrupt entries read as misses" `Quick
-      (fun () ->
-        let dir = fresh_dir "pgcc-cache-stale" in
-        let c = Cache.create ~dir () in
-        let key = Cache.digest [ "k" ] in
-        Cache.store c ~kind:"t" ~key 99;
-        (* Overwrite every entry with an old-schema header + garbage. *)
-        let vdir =
-          Filename.concat dir (Printf.sprintf "v%d" Cache.schema_version)
-        in
-        Array.iter
-          (fun f ->
-            let oc = open_out_bin (Filename.concat vdir f) in
-            output_string oc "pgcc-cache v0 ocaml-0.0 t\ngarbage";
-            close_out oc)
-          (Sys.readdir vdir);
-        Alcotest.(check (option int)) "stale -> miss" None
-          (Cache.find c ~kind:"t" ~key);
-        Alcotest.(check bool) "error counted" true
-          ((Cache.stats c).Cache.errors >= 1));
-    Alcotest.test_case "memo computes on miss, reads on hit" `Quick (fun () ->
-        let c = Cache.create ~dir:(fresh_dir "pgcc-cache-memo") () in
-        let runs = ref 0 in
-        let get () =
-          Cache.memo (Some c) ~kind:"m" ~key:(Cache.digest [ "k" ]) (fun () ->
-              incr runs;
-              [ 1; 2; 3 ])
-        in
-        Alcotest.(check (list int)) "computed" [ 1; 2; 3 ] (get ());
-        Alcotest.(check (list int)) "cached" [ 1; 2; 3 ] (get ());
-        Alcotest.(check int) "one compute" 1 !runs;
-        Alcotest.(check (list int)) "disabled cache still computes" [ 1; 2; 3 ]
-          (Cache.memo None ~kind:"m" ~key:"k" (fun () -> incr runs; [ 1; 2; 3 ]));
-        Alcotest.(check int) "two computes" 2 !runs);
-  ]
-
-(* ------------------------------------------------------------------ *)
-
 let test_wl name source =
   {
     Workload.name;
@@ -204,6 +127,20 @@ let test_wl name source =
 
 let exp_data_tests =
   [
+    Alcotest.test_case "digest separates content, not concatenation" `Quick
+      (fun () ->
+        (* Source and profiling input concatenate to "ab|c" and "a|bc":
+           the length prefixes must keep the two digests apart. *)
+        let split source profiling =
+          { (test_wl "split" source) with
+            Workload.profiling_input = Lazy.from_val profiling }
+        in
+        Alcotest.(check bool) "ab|c <> a|bc" true
+          (Exp_data.workload_digest (split "ab" "c")
+          <> Exp_data.workload_digest (split "a" "bc"));
+        Alcotest.(check string) "deterministic"
+          (Exp_data.workload_digest (split "x" ""))
+          (Exp_data.workload_digest (split "x" "")));
     Alcotest.test_case "prepared is keyed by content, not name" `Quick
       (fun () ->
         (* Two different workloads sharing one name: the second must not be
@@ -249,8 +186,39 @@ int main() { return pad(4) & 255; }
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The grid determinism regression (ISSUE 3): the full θ-grid through the
-   engine at --jobs 1 and --jobs 4, cold cache and warm cache, must be
+(* The bench sampler: every repeat must recompute (a memo hit would time
+   a lookup, not the experiment), and the JSON metrics of one experiment
+   must name each key once however many samples ran. *)
+
+let sample_tests =
+  [
+    Alcotest.test_case "T1 at repeat 2: fresh prepare, unique metric keys"
+      `Slow (fun () ->
+        let wl = List.hd Workloads.all in
+        let prepared = ref [] in
+        let s =
+          Experiments.sample ~repeat:2 (fun () ->
+              let report = Experiments.table1 () in
+              prepared := Exp_data.prepare wl :: !prepared;
+              report)
+        in
+        Alcotest.(check int) "two samples" 2
+          (List.length s.Experiments.seconds);
+        let keys = List.map fst s.Experiments.metrics in
+        Alcotest.(check bool) "engine metric recorded" true
+          (List.mem "engine" keys);
+        Alcotest.(check (list string)) "metric keys unique"
+          (List.sort_uniq compare keys) (List.sort compare keys);
+        match !prepared with
+        | [ second; first ] ->
+          Alcotest.(check bool) "second sample recomputed prepare" true
+            (first != second)
+        | _ -> Alcotest.fail "expected one prepare per sample");
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The grid determinism regression: the full θ-grid through the engine at
+   --jobs 1 and --jobs 4, and again after a memo reset, must be
    byte-identical to the sequential Exp_data path.  Two workloads keep the
    wall clock tolerable; the θ axis is the full grid. *)
 
@@ -290,43 +258,24 @@ let render_run ~jobs cells =
 
 let determinism_tests =
   [
-    Alcotest.test_case "θ-grid: jobs 1/4, cold/warm cache byte-identical"
+    Alcotest.test_case "θ-grid: jobs 1/4, recomputed pass byte-identical"
       `Slow (fun () ->
-        let saved_cache = Exp_data.current_cache () in
-        let dir = fresh_dir "pgcc-grid-determinism" in
-        Fun.protect
-          ~finally:(fun () ->
-            Exp_data.set_cache saved_cache;
-            Exp_data.reset ();
-            rm_rf dir)
-          (fun () ->
+        Fun.protect ~finally:Exp_data.reset (fun () ->
             let cells = grid_cells () in
             (* The sequential Exp_data path: no engine pool (jobs=1 runs
-               inline on the calling domain), no persistent cache. *)
-            Exp_data.set_cache None;
+               inline on the calling domain). *)
             let sequential = render_run ~jobs:1 cells in
-            (* Parallel, cold persistent cache. *)
-            let cache = Cache.create ~dir () in
-            Exp_data.set_cache (Some cache);
-            let parallel_cold = render_run ~jobs:4 cells in
-            Alcotest.(check bool) "cold run stored entries" true
-              ((Cache.stats cache).Cache.stores > 0);
-            (* Parallel and sequential, warm persistent cache. *)
-            let parallel_warm = render_run ~jobs:4 cells in
-            let sequential_warm = render_run ~jobs:1 cells in
+            let parallel = render_run ~jobs:4 cells in
+            (* [render_run] resets the memos, so this pass recomputes
+               every cell. *)
+            let parallel_again = render_run ~jobs:4 cells in
             (* Default pool size (honours $JOBS — CI runs 1 and 4). *)
             let default_jobs = render_run ~jobs:(Engine.default_jobs ()) cells in
-            Alcotest.(check string) "parallel cold = sequential" sequential
-              parallel_cold;
-            Alcotest.(check string) "parallel warm = sequential" sequential
-              parallel_warm;
-            Alcotest.(check string) "sequential warm = sequential" sequential
-              sequential_warm;
+            Alcotest.(check string) "parallel = sequential" sequential parallel;
+            Alcotest.(check string) "recomputed parallel = sequential"
+              sequential parallel_again;
             Alcotest.(check string) "default jobs = sequential" sequential
-              default_jobs;
-            let s = Cache.stats cache in
-            Alcotest.(check bool) "warm runs hit the cache" true
-              (s.Cache.hits > 0)));
+              default_jobs));
     Alcotest.test_case "an injected trap fails that cell only" `Quick
       (fun () ->
         let cells =
@@ -366,5 +315,5 @@ let determinism_tests =
 
 let suite =
   [ ("engine", engine_tests); ("engine-memo", memo_tests);
-    ("engine-cache", cache_tests); ("engine-exp-data", exp_data_tests);
+    ("engine-exp-data", exp_data_tests); ("engine-sample", sample_tests);
     ("engine-grid", determinism_tests) ]

@@ -686,8 +686,8 @@ let workload_tests =
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance property for sharded sinks: a traced JOBS=8 grid is
-   byte-identical in outcomes to an untraced one.  Memos and the
-   persistent cache are disabled/reset so both runs really execute. *)
+   byte-identical in outcomes to an untraced one.  The memos are reset so
+   both runs really execute. *)
 
 let grid_determinism_tests =
   [
@@ -700,7 +700,6 @@ let grid_determinism_tests =
                 { Squash.default_options with Squash.theta = 0.01 })
             [ List.hd Workloads.all ]
         in
-        Exp_data.set_cache None;
         let run_with obs =
           Exp_data.reset ();
           Exp_grid.set_obs obs;
