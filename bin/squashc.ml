@@ -5,12 +5,20 @@
      squashc profile prog.mc ... -o p.prof    collect a basic-block profile
                                               (repeat --input/--input-file to
                                               merge several training runs)
-     squashc squash prog.mc --profile p.prof --theta 0.001
-                                              compress; report sizes; verify
+     squashc profdiff a.prof b.prof           distance between two profiles
+     squashc squash prog.mc --profile p.prof --theta 0.001 --verify
+                                              compress; report sizes; run the
+                                              image against the original
+                                              (--trace t.json records it)
+     squashc attrib gsm --theta 0.01          per-region runtime overhead
      squashc stats prog.mc                    static code statistics
-     squashc workloads                        list the built-in benchmarks
      squashc grid gsm pgp --jobs 4            workload x theta x K sweep on
                                               the parallel engine (JSON/CSV)
+     squashc benchdiff a.json b.json          compare two bench runs
+     squashc tracediff a.json b.jsonl         compare the spans of two traces
+     squashc lint --theta 0.0,0.01            static image verifier
+     squashc prove --slots 1,4                symbolic equivalence prover
+     squashc workloads                        list the built-in benchmarks
 
    Programs may be MiniC (.mc) or SQ32 assembly (anything else); the name of
    a built-in workload (e.g. "gsm") may be used instead of a file, in which
@@ -26,9 +34,30 @@ let read_file path =
   s
 
 let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
+  match open_out_bin path with
+  | oc ->
+    output_string oc contents;
+    close_out oc
+  | exception Sys_error msg ->
+    prerr_endline ("squashc: cannot write " ^ msg);
+    exit 1
+
+let write_json path doc = write_file path (Report.Json.to_string doc ^ "\n")
+
+(* The file name picks the format: [.jsonl] is one event per line, any
+   other name gets Chrome trace-event JSON. *)
+let write_trace path tr =
+  if Filename.check_suffix path ".jsonl" then
+    write_file path (Obs.Trace.to_jsonl tr)
+  else write_json path (Obs.Trace.to_chrome tr);
+  let per_shard =
+    Array.to_list (Obs.Trace.shard_stats tr)
+    |> List.mapi (fun sid (e, d) -> Printf.sprintf "%d:%d/%d" sid e d)
+  in
+  Printf.printf "trace: %d events (%d dropped) on %d shards [%s] -> %s\n"
+    (Obs.Trace.emitted tr) (Obs.Trace.dropped tr) (Obs.Trace.shard_count tr)
+    (String.concat " " per_shard)
+    path
 
 (* Resolve a program argument: workload name, MiniC file, or assembly file. *)
 let load_program arg =
@@ -110,8 +139,10 @@ let cache_slots_arg =
               resident (default 1; each extra slot costs one buffer's worth \
               of RAM and saves re-inflations).")
 
-let k_bytes_arg ?(doc = "Runtime buffer size bound.") () =
-  Arg.(value & opt int 512 & info [ "k" ] ~docv:"BYTES" ~doc)
+let k_bytes_arg =
+  Arg.(
+    value & opt int 512
+    & info [ "k" ] ~docv:"BYTES" ~doc:"Runtime buffer size bound.")
 
 let coder_arg =
   Arg.(
@@ -169,78 +200,18 @@ let run_cmd =
       value & opt int 2_000_000_000
       & info [ "fuel" ] ~docv:"N" ~doc:"Instruction budget before aborting.")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Squash the program (collecting a profile first) and execute \
-                the squashed image with tracing on, writing the event trace \
-                here.  Pipeline pass spans, decompressions, buffer entries \
-                and stub transitions are recorded; simulated-cycle and \
-                wall-clock events land on separate tracks.")
-  in
-  let trace_format =
-    Arg.(
-      value
-      & opt (enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ]) `Chrome
-      & info [ "trace-format" ] ~docv:"FMT"
-          ~doc:"Trace file format: $(b,chrome) (trace-event JSON, loadable \
-                in Perfetto) or $(b,jsonl) (one event per line).")
-  in
-  let theta =
-    Arg.(
-      value & opt float 0.01
-      & info [ "theta" ] ~docv:"T"
-          ~doc:"Cold-code threshold for the $(b,--trace) squash (ignored \
-                without $(b,--trace)).")
-  in
-  let k_bytes =
-    k_bytes_arg ~doc:"Runtime-buffer bound for the $(b,--trace) squash." ()
-  in
-  let run prog_name no_squeeze inputs fuel trace_out trace_format theta k_bytes
-      cache_slots =
+  let run prog_name no_squeeze inputs fuel =
     let prog, wl = prepare prog_name no_squeeze in
     let input = resolve_input inputs wl in
-    match trace_out with
-    | None ->
-      let outcome = Vm.run (Vm.of_image ~fuel (Layout.emit prog) ~input) in
-      print_string outcome.Vm.output;
-      Printf.eprintf "[exit %d, %d instructions, %d cycles]\n"
-        outcome.Vm.exit_code outcome.Vm.icount outcome.Vm.cycles;
-      exit outcome.Vm.exit_code
-    | Some path ->
-      let obs = Obs.full () in
-      let profile_input =
-        match wl with Some wl -> Workload.profiling_input wl | None -> input
-      in
-      let profile = fst (Profile.collect prog ~input:profile_input) in
-      let options = { Squash.default_options with Squash.theta; k_bytes } in
-      let result = Squash.run ~options ~obs prog profile in
-      let outcome, stats =
-        Runtime.run ~fuel ~slots:cache_slots ~obs result.Squash.squashed ~input
-      in
-      print_string outcome.Vm.output;
-      let tr = Option.get obs.Obs.trace in
-      (match trace_format with
-      | `Chrome ->
-        write_file path (Report.Json.to_string (Obs.Trace.to_chrome tr) ^ "\n")
-      | `Jsonl -> write_file path (Obs.Trace.to_jsonl tr));
-      Printf.eprintf
-        "[exit %d, %d instructions, %d cycles, %d decompressions, %d cache \
-         hits; %d events (%d dropped) -> %s]\n"
-        outcome.Vm.exit_code outcome.Vm.icount outcome.Vm.cycles
-        stats.Runtime.decompressions stats.Runtime.cache_hits
-        (Obs.Trace.emitted tr) (Obs.Trace.dropped tr) path;
-      exit outcome.Vm.exit_code
+    let outcome = Vm.run (Vm.of_image ~fuel (Layout.emit prog) ~input) in
+    print_string outcome.Vm.output;
+    Printf.eprintf "[exit %d, %d instructions, %d cycles]\n"
+      outcome.Vm.exit_code outcome.Vm.icount outcome.Vm.cycles;
+    exit outcome.Vm.exit_code
   in
   Cmd.v
-    (Cmd.info "run"
-       ~doc:"Execute a program on the SQ32 simulator (with $(b,--trace): \
-             squash it and trace the squashed execution).")
-    Term.(
-      const run $ prog_arg $ squeeze_flag $ input_args $ fuel $ trace_out
-      $ trace_format $ theta $ k_bytes $ cache_slots_arg)
+    (Cmd.info "run" ~doc:"Execute a program on the SQ32 simulator.")
+    Term.(const run $ prog_arg $ squeeze_flag $ input_args $ fuel)
 
 (* --- profile --------------------------------------------------------- *)
 
@@ -473,12 +444,24 @@ let profdiff_cmd =
              normalised block weights, plus the largest movers.")
     Term.(const run $ a_arg $ b_arg $ max_distance $ movers)
 
-(* --- squash ----------------------------------------------------------- *)
+(* --- squash and attrib: build, run and trace one image ------------------ *)
 
-let squash_cmd =
+(* What [squash] and [attrib] share: the program, its inputs and profile,
+   θ, K and the runtime's cache slots. *)
+type image_args = {
+  prog_name : string;
+  no_squeeze : bool;
+  inputs : string option * string option * bool;
+  theta : float;
+  k_bytes : int;
+  cache_slots : int;
+  profile_file : string option;
+}
+
+let image_args ~theta =
   let theta =
     Arg.(
-      value & opt float 0.0
+      value & opt float theta
       & info [ "theta" ] ~docv:"T" ~doc:"Cold-code threshold in [0, 1].")
   in
   let profile_file =
@@ -486,8 +469,56 @@ let squash_cmd =
       value
       & opt (some string) None
       & info [ "profile" ] ~docv:"FILE"
-          ~doc:"Profile file (from $(b,squashc profile)); collected on the fly otherwise.")
+          ~doc:"Profile file (from $(b,squashc profile)); collected on the \
+                fly otherwise.")
   in
+  Term.(
+    const
+      (fun prog_name no_squeeze inputs theta k_bytes cache_slots profile_file ->
+        { prog_name; no_squeeze; inputs; theta; k_bytes; cache_slots;
+          profile_file })
+    $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes_arg
+    $ cache_slots_arg $ profile_file)
+
+type image = {
+  args : image_args;
+  prog : Prog.t;  (** The program the image was squashed from. *)
+  profile : Profile.t;
+  result : Squash.result;
+  run_input : string;  (** The workload's timing input, else the given one. *)
+}
+
+(* Squash the program under [options] (θ and K from [args]), profiling it
+   on the resolved input unless [--profile] names a saved profile. *)
+let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
+    ?trace ?obs args =
+  let prog, wl = prepare args.prog_name args.no_squeeze in
+  let input = resolve_input args.inputs wl in
+  let profile =
+    match args.profile_file with
+    | Some path -> or_die (Profile.of_string (read_file path))
+    | None -> fst (Profile.collect prog ~input)
+  in
+  let options =
+    { options with Squash.theta = args.theta; k_bytes = args.k_bytes }
+  in
+  let result =
+    try Squash.run ~options ?check_each ?lint ?prove ?trace ?obs prog profile
+    with Pipeline.Check_failed { pass; errors } ->
+      Printf.eprintf "squashc: pass %S broke an invariant:\n" pass;
+      List.iter (fun e -> Printf.eprintf "squashc:   %s\n" e) errors;
+      exit 1
+  in
+  let run_input =
+    match wl with Some wl -> Workload.timing_input wl | None -> input
+  in
+  { args; prog; profile; result; run_input }
+
+let run_image ?obs img =
+  Runtime.run ~slots:img.args.cache_slots ?obs img.result.Squash.squashed
+    ~input:img.run_input
+
+let squash_cmd =
   let no_pack = Arg.(value & flag & info [ "no-pack" ] ~doc:"Disable region packing.") in
   let no_bsafe =
     Arg.(value & flag & info [ "no-buffer-safe" ] ~doc:"Disable the buffer-safe optimisation.")
@@ -554,24 +585,24 @@ let squash_cmd =
                 (as pipeline pass $(b,prove), two cache slots); exit 1 on \
                 any unproved region.")
   in
-  let run prog_name no_squeeze inputs theta k_bytes profile_file no_pack no_bsafe
-      no_unswitch sharp_bsafe coder linear_regions verify cache_slots
-      trace_passes check_each stats_json stream_bits prove =
-    let prog, wl = prepare prog_name no_squeeze in
-    let input = resolve_input inputs wl in
-    let profile =
-      match profile_file with
-      | Some path -> or_die (Profile.of_string (read_file path))
-      | None ->
-        let p, _ = Profile.collect prog ~input in
-        p
-    in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:"Write an event trace here: the pipeline pass spans and, with \
+                $(b,--verify), the squashed run's decompressions, buffer \
+                entries and stub transitions (simulated-cycle and wall-clock \
+                events on separate tracks).  A $(b,.jsonl) file gets one \
+                event per line; any other name gets Chrome trace-event JSON, \
+                loadable in Perfetto.")
+  in
+  let run args no_pack no_bsafe no_unswitch sharp_bsafe coder linear_regions
+      verify trace_passes check_each stats_json stream_bits prove trace_out =
     let options =
       {
         Squash.default_options with
-        Squash.theta;
-        k_bytes;
-        pack = not no_pack;
+        Squash.pack = not no_pack;
         use_buffer_safe = not no_bsafe;
         sharp_buffer_safe = sharp_bsafe;
         unswitch = not no_unswitch;
@@ -584,15 +615,15 @@ let squash_cmd =
       else None
     in
     let metrics = Obs.Metrics.create () in
-    let obs = Obs.create ~metrics () in
-    let result =
-      try Squash.run ~options ~check_each ~lint:true ~prove ?trace ~obs prog profile
-      with
-      | Pipeline.Check_failed { pass; errors } ->
-        Printf.eprintf "squashc: pass %S broke an invariant:\n" pass;
-        List.iter (fun e -> Printf.eprintf "squashc:   %s\n" e) errors;
-        exit 1
+    let obs =
+      Obs.create
+        ?trace:(Option.map (fun _ -> Obs.Trace.create ()) trace_out)
+        ~metrics ()
     in
+    let img =
+      squash_image ~options ~check_each ~lint:true ~prove ?trace ~obs args
+    in
+    let result = img.result in
     Format.printf "%a@." Squash.pp_summary result;
     if trace_passes then print_string (Pipeline.render_stats result.Squash.stats);
     let region_streams () =
@@ -623,13 +654,10 @@ let squash_cmd =
     end;
     let runtime_stats = ref None in
     if verify then begin
-      let timing =
-        match wl with Some wl -> Workload.timing_input wl | None -> input
+      let baseline =
+        Vm.run (Vm.of_image (Layout.emit img.prog) ~input:img.run_input)
       in
-      let baseline = Vm.run (Vm.of_image (Layout.emit prog) ~input:timing) in
-      let outcome, stats =
-        Runtime.run ~slots:cache_slots ~obs result.Squash.squashed ~input:timing
-      in
+      let outcome, stats = run_image ~obs img in
       runtime_stats := Some stats;
       if
         outcome.Vm.output = baseline.Vm.output
@@ -645,31 +673,29 @@ let squash_cmd =
         exit 1
       end
     end;
-    match stats_json with
+    (match stats_json with
     | None -> ()
-    | Some path -> (
+    | Some path ->
       let codes = result.Squash.squashed.Rewrite.codes in
-      let doc =
-        Report.Json.Obj
-          ([ ("schema", Report.Json.String "pgcc-squash-stats-v4");
-             ("coder", Report.Json.String (Compress.coder_name codes));
-             ("table_bits", Report.Json.Int (Compress.table_bits codes));
-             ("stream_bits",
-              Report.Json.Obj
-                (List.map
-                   (fun (name, b) -> (name, Report.Json.Int b))
-                   (coder_stream_bits ())));
-             ("pipeline", Pipeline.stats_json result.Squash.stats);
-             ("metrics", Obs.Metrics.to_json metrics) ]
-          @
-          match !runtime_stats with
-          | None -> []
-          | Some st -> [ ("runtime", Runtime.stats_to_json st) ])
-      in
-      try write_file path (Report.Json.to_string doc ^ "\n")
-      with Sys_error msg ->
-        Printf.eprintf "squashc: cannot write pass stats: %s\n" msg;
-        exit 1)
+      write_json path
+        (Report.Json.Obj
+           ([ ("schema", Report.Json.String "pgcc-squash-stats-v4");
+              ("coder", Report.Json.String (Compress.coder_name codes));
+              ("table_bits", Report.Json.Int (Compress.table_bits codes));
+              ("stream_bits",
+               Report.Json.Obj
+                 (List.map
+                    (fun (name, b) -> (name, Report.Json.Int b))
+                    (coder_stream_bits ())));
+              ("pipeline", Pipeline.stats_json result.Squash.stats);
+              ("metrics", Obs.Metrics.to_json metrics) ]
+           @
+           match !runtime_stats with
+           | None -> []
+           | Some st -> [ ("runtime", Runtime.stats_to_json st) ])));
+    match (trace_out, obs.Obs.trace) with
+    | Some path, Some tr -> write_trace path tr
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "squash"
@@ -677,27 +703,11 @@ let squash_cmd =
              image always passes the lint level of the image gate (pipeline \
              pass $(b,lint)); any error-severity diagnostic exits 1.")
     Term.(
-      const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes_arg ()
-      $ profile_file $ no_pack $ no_bsafe $ no_unswitch $ sharp_bsafe $ coder_arg
-      $ linear_regions $ verify $ cache_slots_arg $ trace_passes $ check_each
-      $ stats_json $ stream_bits $ prove_flag)
-
-(* --- attrib ----------------------------------------------------------- *)
+      const run $ image_args ~theta:0.0 $ no_pack $ no_bsafe $ no_unswitch
+      $ sharp_bsafe $ coder_arg $ linear_regions $ verify $ trace_passes
+      $ check_each $ stats_json $ stream_bits $ prove_flag $ trace_out)
 
 let attrib_cmd =
-  let theta =
-    Arg.(
-      value & opt float 0.01
-      & info [ "theta" ] ~docv:"T" ~doc:"Cold-code threshold in [0, 1].")
-  in
-  let profile_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:"Profile file (from $(b,squashc profile)); collected on the \
-                fly otherwise.")
-  in
   let json_out =
     Arg.(
       value
@@ -715,28 +725,10 @@ let attrib_cmd =
                 diff this run against: per-region signed cycle and share \
                 deltas, with the saved run as side A.")
   in
-  let run prog_name no_squeeze inputs theta k_bytes cache_slots profile_file
-      json_out compare_file =
-    let prog, wl = prepare prog_name no_squeeze in
-    let input = resolve_input inputs wl in
-    let profile =
-      match profile_file with
-      | Some path -> or_die (Profile.of_string (read_file path))
-      | None ->
-        let pinput =
-          match wl with Some wl -> Workload.profiling_input wl | None -> input
-        in
-        fst (Profile.collect prog ~input:pinput)
-    in
-    let options = { Squash.default_options with Squash.theta; k_bytes } in
-    let result = Squash.run ~options prog profile in
-    let timing =
-      match wl with Some wl -> Workload.timing_input wl | None -> input
-    in
-    let outcome, stats =
-      Runtime.run ~slots:cache_slots result.Squash.squashed ~input:timing
-    in
-    let a = Attrib.compute ~profile result stats in
+  let run args json_out compare_file =
+    let img = squash_image args in
+    let outcome, stats = run_image img in
+    let a = Attrib.compute ~profile:img.profile img.result stats in
     print_string (Attrib.render a);
     Printf.printf
       "overhead: %d decompressions (%d cache hits), %d cycles (%.2f%% of %d \
@@ -749,18 +741,15 @@ let attrib_cmd =
        else 0.0)
       outcome.Vm.cycles;
     let params =
-      [ ("prog", Report.Json.String prog_name);
-        ("theta", Report.Json.Float theta);
-        ("k_bytes", Report.Json.Int k_bytes);
-        ("slots", Report.Json.Int cache_slots) ]
+      [ ("prog", Report.Json.String args.prog_name);
+        ("theta", Report.Json.Float args.theta);
+        ("k_bytes", Report.Json.Int args.k_bytes);
+        ("slots", Report.Json.Int args.cache_slots) ]
     in
     (match json_out with
     | None -> ()
     | Some path ->
-      write_file path
-        (Report.Json.to_string
-           (Attrib.to_json ~params ~run_cycles:outcome.Vm.cycles a)
-        ^ "\n"));
+      write_json path (Attrib.to_json ~params ~run_cycles:outcome.Vm.cycles a));
     match compare_file with
     | None -> ()
     | Some path -> (
@@ -772,10 +761,10 @@ let attrib_cmd =
         let here =
           Attrib.to_saved ~run_cycles:outcome.Vm.cycles
             ~params:
-              [ ("prog", prog_name);
-                ("theta", Printf.sprintf "%g" theta);
-                ("k_bytes", string_of_int k_bytes);
-                ("slots", string_of_int cache_slots) ]
+              [ ("prog", args.prog_name);
+                ("theta", Printf.sprintf "%g" args.theta);
+                ("k_bytes", string_of_int args.k_bytes);
+                ("slots", string_of_int args.cache_slots) ]
             a
         in
         print_newline ();
@@ -786,9 +775,7 @@ let attrib_cmd =
        ~doc:"Per-region runtime-overhead attribution: squash, run the \
              timing input, and break the decompression cycles down by \
              region (optionally diffed against a saved run).")
-    Term.(
-      const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes_arg ()
-      $ cache_slots_arg $ profile_file $ json_out $ compare_file)
+    Term.(const run $ image_args ~theta:0.01 $ json_out $ compare_file)
 
 (* --- stats ------------------------------------------------------------ *)
 
@@ -862,17 +849,11 @@ let grid_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Trace the grid run into sharded per-domain sinks (engine \
                 job spans, pipeline pass spans) and write the deterministic \
-                merged export here.")
-  in
-  let trace_format =
-    Arg.(
-      value
-      & opt (enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ]) `Chrome
-      & info [ "trace-format" ] ~docv:"FMT"
-          ~doc:"Trace file format: $(b,chrome) or $(b,jsonl).")
+                merged export here: one event per line for a $(b,.jsonl) \
+                file, Chrome trace-event JSON otherwise.")
   in
   let run names thetas ks timing cache_slots jobs json_out csv_out stats_flag
-      trace_out trace_format =
+      trace_out =
     let wls = find_workloads names in
     let obs =
       match trace_out with
@@ -909,31 +890,16 @@ let grid_cmd =
         stats.Engine.submitted stats.Engine.pool stats.Engine.wall_s
         stats.Engine.busy_s stats.Engine.failed;
     (match (trace_out, obs) with
-    | Some path, Some o ->
-      let tr = Option.get o.Obs.trace in
-      (match trace_format with
-      | `Chrome ->
-        write_file path (Report.Json.to_string (Obs.Trace.to_chrome tr) ^ "\n")
-      | `Jsonl -> write_file path (Obs.Trace.to_jsonl tr));
-      let per_shard =
-        Array.to_list (Obs.Trace.shard_stats tr)
-        |> List.mapi (fun sid (e, d) -> Printf.sprintf "%d:%d/%d" sid e d)
-      in
-      Printf.printf "trace: %d events (%d dropped) on %d shards [%s] -> %s\n"
-        (Obs.Trace.emitted tr) (Obs.Trace.dropped tr)
-        (Obs.Trace.shard_count tr)
-        (String.concat " " per_shard)
-        path
+    | Some path, Some { Obs.trace = Some tr; _ } -> write_trace path tr
     | _ -> ());
-    let doc =
-      Report.Json.Obj
-        [ ("schema", Report.Json.String "pgcc-grid-v1");
-          ("engine", Engine.stats_json stats);
-          ("cells", Exp_grid.to_json results) ]
-    in
     (match json_out with
     | None -> ()
-    | Some path -> write_file path (Report.Json.to_string doc ^ "\n"));
+    | Some path ->
+      write_json path
+        (Report.Json.Obj
+           [ ("schema", Report.Json.String "pgcc-grid-v1");
+             ("engine", Engine.stats_json stats);
+             ("cells", Exp_grid.to_json results) ]));
     (match csv_out with
     | None -> ()
     | Some path -> write_file path (Exp_grid.to_csv results));
@@ -951,7 +917,7 @@ let grid_cmd =
              engine.")
     Term.(
       const run $ workloads_arg "sweep" $ thetas $ ks $ timing $ cache_slots_arg
-      $ jobs $ json_out $ csv_out $ stats_flag $ trace_out $ trace_format)
+      $ jobs $ json_out $ csv_out $ stats_flag $ trace_out)
 
 (* --- benchdiff -------------------------------------------------------- *)
 
@@ -1082,10 +1048,7 @@ let lint_cmd =
     let cells = ref [] in
     List.iter
       (fun (wl : Workload.t) ->
-        let prog = fst (Squeeze.run (Workload.compile wl)) in
-        let profile =
-          fst (Profile.collect prog ~input:(Workload.profiling_input wl))
-        in
+        let prepared = Exp_data.prepare wl in
         List.iter
           (fun theta ->
             let options =
@@ -1097,8 +1060,7 @@ let lint_cmd =
                 coder;
               }
             in
-            let result = Squash.run ~options prog profile in
-            let sq = result.Squash.squashed in
+            let sq = (Exp_data.squash_result prepared options).Squash.squashed in
             let diags = Verify.run sq in
             let nerrors = List.length (Verify.errors diags) in
             let nwarnings = List.length diags - nerrors in
@@ -1107,18 +1069,7 @@ let lint_cmd =
                call sites under each analysis, over the same regions. *)
             let p = sq.Rewrite.prog in
             let regions = sq.Rewrite.regions in
-            let has_compressed fname =
-              match Prog.find_func p fname with
-              | None -> false
-              | Some f ->
-                let any = ref false in
-                Array.iteri
-                  (fun i _ ->
-                    if Regions.block_region regions fname i <> None then
-                      any := true)
-                  f.Prog.Func.blocks;
-                !any
-            in
+            let has_compressed = Regions.has_compressed regions p in
             let in_region f b = Regions.block_region regions f b <> None in
             let safe_calls analysis =
               let `Safe_calls sc, `Direct_calls _, `Indirect_calls _ =
@@ -1136,7 +1087,9 @@ let lint_cmd =
                 string_of_int c_cons; string_of_int c_sharp;
                 Printf.sprintf "%+d" (c_sharp - c_cons) ];
             cells := (wl.Workload.name, theta, diags, c_cons, c_sharp) :: !cells)
-          thetas)
+          thetas;
+        (* Drop this workload's images before building the next one's. *)
+        Exp_data.reset ())
       wls;
     print_string (Report.Table.render t);
     List.iter
@@ -1149,29 +1102,27 @@ let lint_cmd =
     (match json_out with
     | None -> ()
     | Some path ->
-      let doc =
-        Report.Json.Obj
-          [ ("schema", Report.Json.String "pgcc-lint-v1");
-            ( "cells",
-              Report.Json.List
-                (List.rev_map
-                   (fun (name, theta, diags, c_cons, c_sharp) ->
-                     Report.Json.Obj
-                       [ ("workload", Report.Json.String name);
-                         ("theta", Report.Json.Float theta);
-                         ( "errors",
-                           Report.Json.Int (List.length (Verify.errors diags))
-                         );
-                         ( "warnings",
-                           Report.Json.Int
-                             (List.length diags
-                             - List.length (Verify.errors diags)) );
-                         ("safe_calls_conservative", Report.Json.Int c_cons);
-                         ("safe_calls_sharp", Report.Json.Int c_sharp);
-                         ("diags", Verify.to_json diags) ])
-                   !cells) ) ]
-      in
-      write_file path (Report.Json.to_string doc ^ "\n"));
+      write_json path
+        (Report.Json.Obj
+           [ ("schema", Report.Json.String "pgcc-lint-v1");
+             ( "cells",
+               Report.Json.List
+                 (List.rev_map
+                    (fun (name, theta, diags, c_cons, c_sharp) ->
+                      Report.Json.Obj
+                        [ ("workload", Report.Json.String name);
+                          ("theta", Report.Json.Float theta);
+                          ( "errors",
+                            Report.Json.Int (List.length (Verify.errors diags))
+                          );
+                          ( "warnings",
+                            Report.Json.Int
+                              (List.length diags
+                              - List.length (Verify.errors diags)) );
+                          ("safe_calls_conservative", Report.Json.Int c_cons);
+                          ("safe_calls_sharp", Report.Json.Int c_sharp);
+                          ("diags", Verify.to_json diags) ])
+                    !cells) ) ]));
     if !any_errors then exit 1
   in
   Cmd.v
@@ -1181,7 +1132,7 @@ let lint_cmd =
              stub-register liveness, and buffer-safety of unchanged calls.  \
              Exits 1 on any error-severity diagnostic.")
     Term.(
-      const run $ workloads_arg "lint" $ thetas $ k_bytes_arg () $ sharp
+      const run $ workloads_arg "lint" $ thetas $ k_bytes_arg $ sharp
       $ coder_arg $ json_out)
 
 (* --- prove -------------------------------------------------------------- *)
@@ -1223,17 +1174,13 @@ let prove_cmd =
     let cells = ref [] in
     List.iter
       (fun (wl : Workload.t) ->
-        let prog = fst (Squeeze.run (Workload.compile wl)) in
-        let profile =
-          fst (Profile.collect prog ~input:(Workload.profiling_input wl))
-        in
+        let prepared = Exp_data.prepare wl in
         List.iter
           (fun theta ->
             let options =
               { Squash.default_options with Squash.theta; k_bytes; coder }
             in
-            let result = Squash.run ~options prog profile in
-            let sq = result.Squash.squashed in
+            let sq = (Exp_data.squash_result prepared options).Squash.squashed in
             List.iter
               (fun slots ->
                 let t0 = Unix.gettimeofday () in
@@ -1250,7 +1197,9 @@ let prove_cmd =
                     Printf.sprintf "%.3f" dt ];
                 cells := (wl.Workload.name, theta, slots, r, dt) :: !cells)
               slots_list)
-          thetas)
+          thetas;
+        (* Drop this workload's images before building the next one's. *)
+        Exp_data.reset ())
       wls;
     print_string (Report.Table.render t);
     List.iter
@@ -1263,22 +1212,20 @@ let prove_cmd =
     (match json_out with
     | None -> ()
     | Some path ->
-      let doc =
-        Report.Json.Obj
-          [ ("schema", Report.Json.String "pgcc-prove-v2");
-            ( "cells",
-              Report.Json.List
-                (List.rev_map
-                   (fun (name, theta, slots, r, dt) ->
-                     Report.Json.Obj
-                       [ ("workload", Report.Json.String name);
-                         ("theta", Report.Json.Float theta);
-                         ("slots", Report.Json.Int slots);
-                         ("seconds", Report.Json.Float dt);
-                         ("report", Prove.report_json r) ])
-                   !cells) ) ]
-      in
-      write_file path (Report.Json.to_string doc ^ "\n"));
+      write_json path
+        (Report.Json.Obj
+           [ ("schema", Report.Json.String "pgcc-prove-v2");
+             ( "cells",
+               Report.Json.List
+                 (List.rev_map
+                    (fun (name, theta, slots, r, dt) ->
+                      Report.Json.Obj
+                        [ ("workload", Report.Json.String name);
+                          ("theta", Report.Json.Float theta);
+                          ("slots", Report.Json.Int slots);
+                          ("seconds", Report.Json.Float dt);
+                          ("report", Prove.report_json r) ])
+                    !cells) ) ]));
     if !any_failures then exit 1
   in
   Cmd.v
@@ -1289,7 +1236,7 @@ let prove_cmd =
              match.  Exits 1 on any unproved region, printing the \
              divergence trace.")
     Term.(
-      const run $ workloads_arg "prove" $ thetas $ slots_list $ k_bytes_arg ()
+      const run $ workloads_arg "prove" $ thetas $ slots_list $ k_bytes_arg
       $ coder_arg $ json_out)
 
 (* --- workloads ---------------------------------------------------------- *)

@@ -66,8 +66,6 @@ let init ?(options = default_options) ?(setjmp_callers = []) prog profile =
 
 type t = {
   name : string;
-  descr : string;
-  paper : string;
   requires : string list;
   after : string list;
   transform : state -> state;

@@ -67,8 +67,6 @@ val init :
 type t = {
   name : string;  (** Unique within a pipeline; used for skipping,
                       ordering constraints and stats. *)
-  descr : string;
-  paper : string;  (** Which paper section the pass implements. *)
   requires : string list;
       (** Hard prerequisites: these passes must appear earlier in the
           pipeline or {!Pipeline.execute} rejects the pass list. *)

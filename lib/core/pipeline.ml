@@ -44,11 +44,10 @@ let unanalysable_funcs (p : Prog.t) =
 let is_cold_or_fresh st cold f b =
   Cold.is_cold cold f b || Profile.freq st.Pass.profile f b = 0
 
+(* §6.2: constant propagation resolving unannotated indirect jumps. *)
 let resolve_pass =
   {
     Pass.name = "resolve";
-    descr = "constant propagation resolving unannotated indirect jumps";
-    paper = "§6.2";
     requires = [];
     after = [];
     transform =
@@ -61,11 +60,10 @@ let resolve_pass =
           (List.length st.Pass.resolved_jumps));
   }
 
+(* §5: cold-block identification at threshold θ. *)
 let cold_pass =
   {
     Pass.name = "cold";
-    descr = "cold-block identification at threshold θ";
-    paper = "§5";
     requires = [];
     after = [];
     transform =
@@ -85,11 +83,10 @@ let cold_pass =
           (Cold.total_block_count cold));
   }
 
+(* §6.2: jump-table unswitching of cold analysable dispatches. *)
 let unswitch_pass =
   {
     Pass.name = "unswitch";
-    descr = "jump-table unswitching of cold analysable dispatches";
-    paper = "§6.2";
     requires = [ "cold" ];
     after = [];
     transform =
@@ -109,11 +106,10 @@ let unswitch_pass =
           (List.length st.Pass.unmatched));
   }
 
+(* §2.2: never-compress set: entry, setjmp callers, unanalysable jumps. *)
 let exclude_pass =
   {
     Pass.name = "exclude";
-    descr = "never-compress set: entry, setjmp callers, unanalysable jumps";
-    paper = "§2.2";
     requires = [];
     (* In fallback mode (no unswitching), dispatch blocks and their tables
        stay in place, which is safe — but when unswitch runs, a dispatch
@@ -140,11 +136,10 @@ let exclude_pass =
           (List.length (Pass.get_excluded ~who:"exclude" st)));
   }
 
+(* §4: compressible-region formation and packing. *)
 let regions_pass =
   {
     Pass.name = "regions";
-    descr = "compressible-region formation and packing";
-    paper = "§4";
     requires = [ "cold"; "exclude" ];
     after = [];
     transform =
@@ -177,28 +172,17 @@ let regions_pass =
           r.Regions.rejected_blocks);
   }
 
+(* §6.1: buffer-safety analysis of call sites in compressed code. *)
 let buffer_safe_pass =
   {
     Pass.name = "buffer-safe";
-    descr = "buffer-safety analysis of call sites in compressed code";
-    paper = "§6.1";
     requires = [ "regions" ];
     after = [];
     transform =
       (fun st ->
         let regions = Pass.get_regions ~who:"buffer-safe" st in
         let p = st.Pass.prog in
-        let has_compressed fname =
-          match Prog.find_func p fname with
-          | None -> false
-          | Some f ->
-            let any = ref false in
-            Array.iteri
-              (fun i _ ->
-                if Regions.block_region regions fname i <> None then any := true)
-              f.Prog.Func.blocks;
-            !any
-        in
+        let has_compressed = Regions.has_compressed regions p in
         let o = st.Pass.options in
         let bsafe =
           if not o.Pass.use_buffer_safe then
@@ -227,32 +211,20 @@ let buffer_safe_pass =
                sharpening bought. *)
             let regions = Pass.get_regions ~who:"buffer-safe" st in
             let p = st.Pass.prog in
-            let has_compressed fname =
-              match Prog.find_func p fname with
-              | None -> false
-              | Some f ->
-                let any = ref false in
-                Array.iteri
-                  (fun i _ ->
-                    if Regions.block_region regions fname i <> None then
-                      any := true)
-                  f.Prog.Func.blocks;
-                !any
-            in
             let conservative =
               List.length
                 (Buffer_safe.safe_functions
-                   (Buffer_safe.analyze p ~has_compressed))
+                   (Buffer_safe.analyze p
+                      ~has_compressed:(Regions.has_compressed regions p)))
             in
             Printf.sprintf "%d buffer-safe functions (sharp; %+d vs conservative)"
               safe (safe - conservative));
   }
 
+(* §2–3: stub emission, compression and decompressor image build. *)
 let rewrite_pass =
   {
     Pass.name = "rewrite";
-    descr = "stub emission, compression and decompressor image build";
-    paper = "§2–3";
     requires = [ "regions"; "buffer-safe" ];
     after = [];
     transform =
@@ -285,11 +257,10 @@ let fail_on_errors pass diags =
   | [] -> ()
   | errs -> raise (Check_failed { pass; errors = List.map Verify.message errs })
 
+(* §2–6: whole-image static verification of the squashed executable. *)
 let lint_pass =
   {
     Pass.name = "lint";
-    descr = "whole-image static verification of the squashed executable";
-    paper = "§2–6";
     requires = [ "rewrite" ];
     after = [];
     transform =
@@ -303,11 +274,10 @@ let lint_pass =
           (List.length (Option.value ~default:[] st.Pass.lint)));
   }
 
+(* §2–3: symbolic equivalence proof of every region against its rewrite. *)
 let prove_pass =
   {
     Pass.name = "prove";
-    descr = "symbolic equivalence proof of every region against its rewrite";
-    paper = "§2–3";
     requires = [ "rewrite" ];
     after = [ "lint" ];
     transform =

@@ -718,6 +718,14 @@ let region_blocks t id = t.regions.(id).blocks
 let block_region t f b = Hashtbl.find_opt t.region_of (f, b)
 let is_entry t f b = Hashtbl.mem t.entries (f, b)
 
+let has_compressed t (p : Prog.t) fname =
+  match Prog.find_func p fname with
+  | None -> false
+  | Some f ->
+    let n = Array.length f.Prog.Func.blocks in
+    let rec any i = i < n && (block_region t fname i <> None || any (i + 1)) in
+    any 0
+
 let compressed_instr_count (p : Prog.t) t =
   List.fold_left
     (fun acc (f : Prog.Func.t) ->

@@ -69,6 +69,11 @@ val region_blocks : t -> int -> (string * int) list
 val block_region : t -> string -> int -> int option
 val is_entry : t -> string -> int -> bool
 
+val has_compressed : t -> Prog.t -> string -> bool
+(** [has_compressed t p f]: whether function [f] of [p] has a block in
+    some region of [t] (false when [p] has no function [f]) — the seed of
+    the §6.1 buffer-safety analyses. *)
+
 val compressed_instr_count : Prog.t -> t -> int
 (** Static instructions inside regions (the paper's "compressible code"
     plotted in Figure 4). *)

@@ -319,17 +319,10 @@ let run (sq : Rewrite.t) =
     p.Prog.funcs;
 
   (* --- unchanged calls in compressed code are buffer-safe ------------ *)
-  let has_compressed fname =
-    match Hashtbl.find_opt func_of fname with
-    | None -> false
-    | Some (f : Prog.Func.t) ->
-      let any = ref false in
-      Array.iteri
-        (fun i _ -> if region_of (fname, i) <> None then any := true)
-        f.blocks;
-      !any
+  let bsafe =
+    Buffer_safe.analyze_sharp p
+      ~has_compressed:(Regions.has_compressed regions p)
   in
-  let bsafe = Buffer_safe.analyze_sharp p ~has_compressed in
   let addr_to_func = Hashtbl.create 64 in
   List.iter
     (fun (g, a) -> Hashtbl.replace addr_to_func a g)

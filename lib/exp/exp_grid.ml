@@ -46,30 +46,7 @@ let jobs () = match !jobs_override with Some j -> j | None -> Engine.default_job
 let obs_sink : Obs.t option ref = ref None
 let set_obs o = obs_sink := o
 
-let parse_injection s =
-  match String.index_opt s '@' with
-  | Some i -> (
-    let name = String.sub s 0 i in
-    let theta = String.sub s (i + 1) (String.length s - i - 1) in
-    match float_of_string_opt theta with
-    | Some th when name <> "" -> Some (name, th)
-    | _ -> None)
-  | None -> None
-
-let injected : (string * float) option ref =
-  ref
-    (match Sys.getenv_opt "PGCC_INJECT_TRAP" with
-    | Some s -> parse_injection s
-    | None -> None)
-
-let set_injected_failure v = injected := v
-
 let eval_cell c =
-  (match !injected with
-  | Some (name, theta)
-    when name = c.wl.Workload.name && theta = c.options.Squash.theta ->
-    raise (Vm.Trap { pc = 0; reason = "injected fault" })
-  | _ -> ());
   let p = Exp_data.prepare c.wl in
   let r = Exp_data.squash_result ~pspec:c.pspec p c.options in
   let cycles, baseline_cycles, time_ratio, decompressions, runtime =

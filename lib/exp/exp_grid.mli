@@ -64,11 +64,6 @@ val set_obs : Obs.t option -> unit
 
 val jobs : unit -> int
 
-val set_injected_failure : (string * float) option ->  unit
-(** Fault injection for crash-isolation tests: the cell of this (workload
-    name, θ) raises a trap instead of evaluating.  Initialised from
-    [PGCC_INJECT_TRAP] ("name@theta"). *)
-
 val eval_cell : cell -> metrics
 (** Evaluate one cell on the calling domain (raises on failure). *)
 

@@ -1,0 +1,118 @@
+(* End-to-end checks of the squashc binary: each command's exit status and
+   the files it writes, on gsm at θ = 0.01. *)
+
+let squashc = Filename.concat (Filename.concat ".." "bin") "squashc.exe"
+
+(* Run squashc with [args]; return its exit status and its stdout and
+   stderr. *)
+let run args =
+  let out = Filename.temp_file "squashc" ".out" in
+  let err = Filename.temp_file "squashc" ".err" in
+  let code =
+    Sys.command (Filename.quote_command squashc args ~stdout:out ~stderr:err)
+  in
+  let read path =
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  let stdout = read out in
+  (code, stdout, read err)
+
+let with_output suffix f =
+  let path = Filename.temp_file "squashc" suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let check_exit what expected (code, stdout, stderr) =
+  if code <> expected then
+    Alcotest.failf "%s: exit %d, expected %d\nstdout:\n%s\nstderr:\n%s" what
+      code expected stdout stderr
+
+(* Every line of a JSONL export parses; returns the line count. *)
+let jsonl_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l -> ignore (Json_check.parse l))
+  |> List.length
+
+let tests =
+  [
+    Alcotest.test_case "run exits with the program's exit code" `Quick
+      (fun () ->
+        let expected =
+          (Exp_data.prepare (Option.get (Workloads.find "gsm")))
+            .Exp_data.profile_outcome.Vm.exit_code
+        in
+        Alcotest.(check bool) "gsm exits non-zero" true (expected <> 0);
+        check_exit "run gsm" expected (run [ "run"; "gsm" ]));
+    Alcotest.test_case "squash --verify --trace writes Chrome JSON" `Quick
+      (fun () ->
+        with_output ".json" (fun path ->
+            let ((_, stdout, _) as r) =
+              run
+                [ "squash"; "gsm"; "--theta"; "0.01"; "--verify"; "--trace";
+                  path ]
+            in
+            check_exit "squash --verify --trace" 0 r;
+            Alcotest.(check bool) "verified" true
+              (contains stdout "verified: identical behaviour");
+            let doc =
+              Json_check.parse
+                (In_channel.with_open_bin path In_channel.input_all)
+            in
+            let phases =
+              match Json_check.member_exn "traceEvents" doc with
+              | Json_check.Arr events ->
+                List.filter_map
+                  (fun e ->
+                    match Json_check.member "ph" e with
+                    | Some (Json_check.Str ph) -> Some ph
+                    | _ -> None)
+                  events
+              | _ -> Alcotest.fail "traceEvents is not a list"
+            in
+            Alcotest.(check bool) "has X events" true (List.mem "X" phases)));
+    Alcotest.test_case "a .jsonl trace name writes JSONL" `Quick (fun () ->
+        with_output ".jsonl" (fun path ->
+            check_exit "squash --trace t.jsonl" 0
+              (run
+                 [ "squash"; "gsm"; "--theta"; "0.01"; "--verify"; "--trace";
+                   path ]);
+            Alcotest.(check bool) "header and events" true
+              (jsonl_lines path > 1));
+        with_output ".jsonl" (fun path ->
+            check_exit "grid --trace g.jsonl" 0
+              (run [ "grid"; "gsm"; "--theta"; "0.01"; "--trace"; path ]);
+            Alcotest.(check bool) "header and events" true
+              (jsonl_lines path > 1)));
+    Alcotest.test_case "lint and prove pass" `Quick (fun () ->
+        check_exit "lint" 0 (run [ "lint"; "gsm"; "--theta"; "0.01" ]);
+        check_exit "prove" 0
+          (run [ "prove"; "gsm"; "--theta"; "0.01"; "--slots"; "1" ]));
+    Alcotest.test_case "attrib prints the overhead line" `Quick (fun () ->
+        let ((_, stdout, _) as r) =
+          run [ "attrib"; "gsm"; "--theta"; "0.01" ]
+        in
+        check_exit "attrib" 0 r;
+        Alcotest.(check bool) "overhead line" true
+          (contains stdout "\noverhead: "));
+    Alcotest.test_case "--trace-format is an unknown option" `Quick
+      (fun () ->
+        List.iter
+          (fun cmd ->
+            let code, _, stderr =
+              run [ cmd; "gsm"; "--trace-format"; "jsonl" ]
+            in
+            Alcotest.(check bool) (cmd ^ " fails") true (code <> 0);
+            Alcotest.(check bool) (cmd ^ " names the option") true
+              (contains stderr "unknown option '--trace-format'"))
+          [ "run"; "squash"; "grid" ]);
+  ]
+
+let suite = [ ("cli", tests) ]

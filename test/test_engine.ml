@@ -276,41 +276,52 @@ let determinism_tests =
               sequential parallel_again;
             Alcotest.(check string) "default jobs = sequential" sequential
               default_jobs));
-    Alcotest.test_case "an injected trap fails that cell only" `Quick
+    Alcotest.test_case "a failing cell fails that cell only" `Quick
       (fun () ->
+        (* One word cannot hold the decompressor, so [Rewrite.build] fails
+           the rasta θ=1e-3 cell. *)
+        let options (wl : Workload.t) theta =
+          if wl.Workload.name = "rasta" && theta = 1e-3 then
+            { Squash.default_options with Squash.theta; decomp_words = 1 }
+          else { Squash.default_options with Squash.theta }
+        in
         let cells =
           List.concat_map
             (fun theta ->
               List.map
-                (fun wl ->
-                  Exp_grid.cell wl { Squash.default_options with Squash.theta })
+                (fun wl -> Exp_grid.cell wl (options wl theta))
                 (grid_wls ()))
             [ 0.0; 1e-3 ]
         in
-        Exp_grid.set_injected_failure (Some ("rasta", 1e-3));
-        Fun.protect
-          ~finally:(fun () -> Exp_grid.set_injected_failure None)
-          (fun () ->
-            let results, stats = Exp_grid.run ~jobs:2 cells in
-            Alcotest.(check int) "one failure" 1 stats.Engine.failed;
-            Alcotest.(check int) "rest completed" (List.length cells - 1)
-              stats.Engine.succeeded;
-            let failed = Exp_grid.failures results in
-            Alcotest.(check int) "one structured error" 1 (List.length failed);
-            let e = List.hd failed in
-            Alcotest.(check string) "kind" "trap"
-              (Engine.kind_to_string e.Engine.kind);
-            (* The failure is surfaced in the machine-readable report. *)
-            let json = Report.Json.to_string (Exp_grid.to_json results) in
-            let contains ~needle hay =
-              let n = String.length needle and h = String.length hay in
-              let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-              go 0
-            in
-            Alcotest.(check bool) "json carries the failure" true
-              (contains ~needle:"\"status\":\"failed\"" json);
-            Alcotest.(check bool) "json carries successes" true
-              (contains ~needle:"\"status\":\"ok\"" json)));
+        let results, stats = Exp_grid.run ~jobs:2 cells in
+        Alcotest.(check int) "one failure" 1 stats.Engine.failed;
+        Alcotest.(check int) "rest completed" (List.length cells - 1)
+          stats.Engine.succeeded;
+        let failed = Exp_grid.failures results in
+        Alcotest.(check int) "one structured error" 1 (List.length failed);
+        let e = List.hd failed in
+        Alcotest.(check string) "kind" "failed"
+          (Engine.kind_to_string e.Engine.kind);
+        Alcotest.(check string) "message"
+          "Rewrite.build: decomp_words too small" e.Engine.message;
+        (* The failure is surfaced in the machine-readable report. *)
+        let json = Report.Json.to_string (Exp_grid.to_json results) in
+        let contains ~needle hay =
+          let n = String.length needle and h = String.length hay in
+          let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool) "json carries the failure" true
+          (contains ~needle:"\"status\":\"failed\"" json);
+        Alcotest.(check bool) "json carries successes" true
+          (contains ~needle:"\"status\":\"ok\"" json));
+    Alcotest.test_case "classify tells a trap from fuel exhaustion" `Quick
+      (fun () ->
+        let kind e = Engine.kind_to_string (fst (Exp_grid.classify e)) in
+        Alcotest.(check string) "machine trap" "trap"
+          (kind (Vm.Trap { pc = 0x40; reason = "misaligned load" }));
+        Alcotest.(check string) "out of fuel" "fuel-exhausted"
+          (kind (Vm.Trap { pc = 0x40; reason = "out of fuel" })));
   ]
 
 let suite =

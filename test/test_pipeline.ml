@@ -81,8 +81,6 @@ let check_identical name (a : Rewrite.t) (b : Rewrite.t) =
 let corrupting_pass =
   {
     Pass.name = "corrupt";
-    descr = "inject a sentinel into the first block";
-    paper = "-";
     requires = [];
     after = [];
     transform =
