@@ -558,9 +558,9 @@ let squash_cmd =
     Arg.(
       value & flag
       & info [ "check-each" ]
-          ~doc:"Validate the IR (and the squashed image, once built) after \
-                every pipeline pass; a failure names the pass that broke an \
-                invariant.")
+          ~doc:"Validate the IR after every pipeline pass; a failure names \
+                the pass that broke an invariant.  The image is checked by \
+                the lint pass (always on) and $(b,--prove).")
   in
   let stats_json =
     Arg.(

@@ -1,6 +1,7 @@
 (* Pass pipeline demo: drive the squash pipeline pass by pass instead of
    through Squash.run — trace every stage, validate the IR after each one,
-   skip a pass, and emit the machine-readable stats.
+   emit the machine-readable stats, and drop a pass and gate the image
+   through the options and the gate passes.
 
      dune exec examples/pass_pipeline.exe *)
 
@@ -60,23 +61,26 @@ let () =
   print_endline "\n=== stats as JSON ===";
   print_endline (Report.Json.to_string (Pipeline.stats_json stats));
 
-  (* 3. Configurability: skip the unswitch pass by name.  The pipeline
-     still validates ordering constraints, so reordering mistakes are
-     caught up front rather than as corrupt images. *)
-  print_endline "\n=== without the unswitch pass ===";
-  let state2, _ =
-    Pipeline.execute ~passes:(Pipeline.skip [ "unswitch" ] Pipeline.standard)
-      (Pass.init prog profile)
+  (* 3. Configurability goes through the options: the passes always run in
+     paper order, and [unswitch = false] drops the unswitch pass.  The
+     image gate is two more passes, appended at the end. *)
+  print_endline "\n=== without unswitching, then the image gate ===";
+  let options = { Pass.default_options with Pass.unswitch = false } in
+  let passes =
+    Pipeline.of_options options @ [ Pipeline.lint_pass; Pipeline.prove_pass ]
   in
+  print_endline (String.concat " -> " (Pipeline.names passes));
+  assert (not (List.mem "unswitch" (Pipeline.names passes)));
+  let state2, _ = Pipeline.execute ~passes (Pass.init ~options prog profile) in
   let words st = Rewrite.total_words (Pass.get_squashed ~who:"demo" st) in
   Printf.printf "with unswitch: %d words; without: %d words\n" (words state)
     (words state2);
-  (match
-     Pipeline.execute ~passes:[ Pipeline.regions_pass ] (Pass.init prog profile)
-   with
-  | _ -> assert false
-  | exception Invalid_argument msg ->
-    Printf.printf "bad ordering rejected: %s\n" msg);
+  (match state2.Pass.proof with
+  | Some r ->
+    assert (r.Prove.proved = r.Prove.blocks);
+    Printf.printf "gate: lint clean, %d/%d block proofs\n" r.Prove.proved
+      r.Prove.blocks
+  | None -> assert false);
 
   (* 4. The squashed program still behaves identically. *)
   let sq = Pass.get_squashed ~who:"demo" state in

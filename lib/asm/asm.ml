@@ -306,7 +306,7 @@ let parse_funcs lines =
 let parse_program src =
   match parse_funcs (lines_of_string src) with
   | prog -> (
-    match Prog.validate prog with Ok () -> Ok prog | Error e -> Error e)
+    match Prog.validate prog with Ok () -> Ok prog | Error es -> Error (List.hd es))
   | exception Parse_error (no, msg) -> Error (Printf.sprintf "line %d: %s" no msg)
 
 let parse_func src =

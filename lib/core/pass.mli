@@ -5,8 +5,9 @@
     (§4), buffer-safe analysis (§6.1) and the stub/decompressor rewrite
     (§2–3).  Each becomes a named {!t} over an explicit {!state} record
     that carries the program, the profile and every accumulated analysis.
-    {!Pipeline} composes, times and validates them; {!Squash.run} is a thin
-    wrapper over the standard pass list. *)
+    {!Pipeline} runs them in that fixed order, timing each and optionally
+    validating the IR after each; {!Squash.run} is a thin wrapper over
+    that list. *)
 
 type options = {
   theta : float;  (** Cold-code threshold θ ∈ [0, 1]. *)
@@ -65,14 +66,8 @@ val init :
 (** The state every pipeline starts from: no analyses computed yet. *)
 
 type t = {
-  name : string;  (** Unique within a pipeline; used for skipping,
-                      ordering constraints and stats. *)
-  requires : string list;
-      (** Hard prerequisites: these passes must appear earlier in the
-          pipeline or {!Pipeline.execute} rejects the pass list. *)
-  after : string list;
-      (** Soft ordering: if one of these passes is present anywhere in the
-          pipeline, it must come before this one. *)
+  name : string;  (** Names the pass in stats, traces and
+                      {!Pipeline.Check_failed}. *)
   transform : state -> state;
   note : state -> string;
       (** One-line summary of what the pass did, read off the post-state

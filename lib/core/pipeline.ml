@@ -1,6 +1,6 @@
 exception Check_failed of { pass : string; errors : string list }
 
-(* --- the standard passes ------------------------------------------- *)
+(* --- the squash passes --------------------------------------------- *)
 
 (* Functions whose code contains a setjmp system call. *)
 let detect_setjmp_callers (p : Prog.t) =
@@ -48,8 +48,6 @@ let is_cold_or_fresh st cold f b =
 let resolve_pass =
   {
     Pass.name = "resolve";
-    requires = [];
-    after = [];
     transform =
       (fun st ->
         let prog, sites = Consts.resolve_tables st.Pass.prog in
@@ -64,8 +62,6 @@ let resolve_pass =
 let cold_pass =
   {
     Pass.name = "cold";
-    requires = [];
-    after = [];
     transform =
       (fun st ->
         {
@@ -87,8 +83,6 @@ let cold_pass =
 let unswitch_pass =
   {
     Pass.name = "unswitch";
-    requires = [ "cold" ];
-    after = [];
     transform =
       (fun st ->
         let cold = Pass.get_cold ~who:"unswitch" st in
@@ -110,12 +104,6 @@ let unswitch_pass =
 let exclude_pass =
   {
     Pass.name = "exclude";
-    requires = [];
-    (* In fallback mode (no unswitching), dispatch blocks and their tables
-       stay in place, which is safe — but when unswitch runs, a dispatch
-       whose idiom did not match excludes its whole function, so the
-       exclusion pass must see unswitch's verdict. *)
-    after = [ "unswitch" ];
     transform =
       (fun st ->
         let p = st.Pass.prog in
@@ -140,8 +128,6 @@ let exclude_pass =
 let regions_pass =
   {
     Pass.name = "regions";
-    requires = [ "cold"; "exclude" ];
-    after = [];
     transform =
       (fun st ->
         let cold = Pass.get_cold ~who:"regions" st in
@@ -176,8 +162,6 @@ let regions_pass =
 let buffer_safe_pass =
   {
     Pass.name = "buffer-safe";
-    requires = [ "regions" ];
-    after = [];
     transform =
       (fun st ->
         let regions = Pass.get_regions ~who:"buffer-safe" st in
@@ -225,8 +209,6 @@ let buffer_safe_pass =
 let rewrite_pass =
   {
     Pass.name = "rewrite";
-    requires = [ "regions"; "buffer-safe" ];
-    after = [];
     transform =
       (fun st ->
         let o = st.Pass.options in
@@ -247,10 +229,9 @@ let rewrite_pass =
   }
 
 (* --- the image gate ---------------------------------------------------
-   One gate over the finished image, in three levels: [check_state] runs
-   the structure level after every pass (with [~check_each]), [lint_pass]
-   the lint level and [prove_pass] the prove level.  Each pass keeps its
-   result in the state, so its note reads it instead of running again. *)
+   Two passes over the finished image: [lint_pass] runs the lint level and
+   [prove_pass] the prove level.  Each keeps its result in the state, so
+   its note reads it instead of running again. *)
 
 let fail_on_errors pass diags =
   match Verify.errors diags with
@@ -261,8 +242,6 @@ let fail_on_errors pass diags =
 let lint_pass =
   {
     Pass.name = "lint";
-    requires = [ "rewrite" ];
-    after = [];
     transform =
       (fun st ->
         let diags = Verify.run (Pass.get_squashed ~who:"lint" st) in
@@ -278,8 +257,6 @@ let lint_pass =
 let prove_pass =
   {
     Pass.name = "prove";
-    requires = [ "rewrite" ];
-    after = [ "lint" ];
     transform =
       (fun st ->
         (* Two slots are enough to exercise the slot-relative rebias of
@@ -296,20 +273,14 @@ let prove_pass =
             r.Prove.blocks r.Prove.conservative);
   }
 
-let standard =
-  [ resolve_pass; cold_pass; unswitch_pass; exclude_pass; regions_pass;
-    buffer_safe_pass; rewrite_pass ]
-
-let skip names passes =
-  List.filter (fun (p : Pass.t) -> not (List.mem p.Pass.name names)) passes
-
+(* Paper order.  [exclude] follows [unswitch]: a dispatch whose idiom did
+   not match excludes its whole function, so exclusion must see unswitch's
+   verdict.  Without unswitching, dispatch blocks and their tables stay in
+   place, which is safe. *)
 let of_options (o : Pass.options) =
-  if o.Pass.unswitch then standard else skip [ "unswitch" ] standard
-
-let by_name name =
-  List.find_opt
-    (fun (p : Pass.t) -> p.Pass.name = name)
-    (standard @ [ lint_pass; prove_pass ])
+  [ resolve_pass; cold_pass ]
+  @ (if o.Pass.unswitch then [ unswitch_pass ] else [])
+  @ [ exclude_pass; regions_pass; buffer_safe_pass; rewrite_pass ]
 
 let names passes = List.map (fun (p : Pass.t) -> p.Pass.name) passes
 
@@ -317,47 +288,27 @@ let names passes = List.map (fun (p : Pass.t) -> p.Pass.name) passes
 
 type run_stats = { passes : Pass.stats list; total_s : float }
 
-let validate_order passes =
-  let all = names passes in
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (p : Pass.t) ->
-      if Hashtbl.mem seen p.Pass.name then
-        invalid_arg
-          (Printf.sprintf "Pipeline.execute: pass %S appears twice" p.Pass.name);
-      List.iter
-        (fun r ->
-          if not (Hashtbl.mem seen r) then
-            invalid_arg
-              (Printf.sprintf
-                 "Pipeline.execute: pass %S requires %S to run earlier"
-                 p.Pass.name r))
-        p.Pass.requires;
-      List.iter
-        (fun a ->
-          if List.mem a all && not (Hashtbl.mem seen a) then
-            invalid_arg
-              (Printf.sprintf
-                 "Pipeline.execute: pass %S must come after %S" p.Pass.name a))
-        p.Pass.after;
-      Hashtbl.replace seen p.Pass.name ())
-    passes
-
+(* The IR invariants ([Prog.validate]), plus the profile's: every profiled
+   block must still exist, or a pass renumbered or dropped blocks without
+   rebuilding the profile. *)
 let check_state (st : Pass.state) =
-  let ir =
-    match Prog_check.check ~profile:st.Pass.profile st.Pass.prog with
-    | Ok () -> []
-    | Error es -> es
+  let p = st.Pass.prog in
+  let ir = match Prog.validate p with Ok () -> [] | Error es -> es in
+  let stale =
+    Profile.fold
+      (fun (fname, b) ~freq:_ ~weight:_ acc ->
+        match Prog.find_func p fname with
+        | Some f when b >= 0 && b < Array.length f.Prog.Func.blocks -> acc
+        | Some _ | None -> (fname, b) :: acc)
+      st.Pass.profile []
+    |> List.sort compare
+    |> List.map (fun (fname, b) ->
+           Printf.sprintf "profile names block %s.%d, which the program lacks"
+             fname b)
   in
-  let image =
-    match st.Pass.squashed with
-    | None -> []
-    | Some sq -> List.map Verify.message (Verify.errors (Verify.structure sq))
-  in
-  match ir @ image with [] -> Ok () | es -> Error es
+  match ir @ stale with [] -> Ok () | es -> Error es
 
 let execute ?(check_each = false) ?trace ?obs ~passes st =
-  validate_order passes;
   let emit line = match trace with Some f -> f line | None -> () in
   let st, rev_stats =
     List.fold_left

@@ -1,7 +1,7 @@
 (** The instrumented pass pipeline behind {!Squash.run}.
 
-    The standard pipeline is the paper's transformation sequence, one
-    {!Pass.t} per stage:
+    The squash pipeline is the paper's transformation sequence, one
+    {!Pass.t} per stage, always in this order:
 
     - ["resolve"] — constant-propagation resolution of unannotated
       indirect jumps: a [Jump_indirect { table = None; _ }] whose register
@@ -9,8 +9,8 @@
       annotation, shrinking both the never-compress set and every
       successor over-approximation downstream (§6.2)
     - ["cold"] — cold-block identification (§5)
-    - ["unswitch"] — jump-table unswitching (§6.2); omitted by
-      {!of_options} when [options.unswitch] is false
+    - ["unswitch"] — jump-table unswitching (§6.2); present only when
+      [options.unswitch] is true
     - ["exclude"] — never-compress set: the entry function, setjmp
       callers, functions with unanalysable indirect jumps, and unmatched
       dispatches (§2.2, §6.2)
@@ -23,54 +23,33 @@
 
     {!execute} runs a pass list over a {!Pass.state}, recording per-pass
     wall-clock time and instruction/word deltas, optionally tracing each
-    pass and validating the IR (and, once present, the squashed image)
-    after every pass.
+    pass and validating the IR after every pass.
 
-    The image gate has three levels, all reporting {!Verify.diag} values:
-    structure ({!Verify.structure}, after every pass under
-    [~check_each:true]), lint ({!lint_pass}) and prove ({!prove_pass}).
-    Each gate pass stores its result in the state ([Pass.lint],
-    [Pass.proof]), and its note reads it back rather than checking
-    again. *)
+    The image is checked by two gate passes, both reporting {!Verify.diag}
+    values: lint ({!lint_pass}) and prove ({!prove_pass}).  Each stores
+    its result in the state ([Pass.lint], [Pass.proof]), and its note
+    reads it back rather than checking again. *)
 
 exception Check_failed of { pass : string; errors : string list }
 (** Raised by [execute ~check_each:true] when validation fails after a
-    pass: the damage happened in exactly [pass]. *)
+    pass (the damage happened in exactly [pass]), and by the gate passes
+    when the image fails them. *)
 
-val resolve_pass : Pass.t
-val cold_pass : Pass.t
-val unswitch_pass : Pass.t
-val exclude_pass : Pass.t
-val regions_pass : Pass.t
-val buffer_safe_pass : Pass.t
-val rewrite_pass : Pass.t
+val of_options : Pass.options -> Pass.t list
+(** The squash passes for [options], in the order above. *)
 
 val lint_pass : Pass.t
 (** The lint level: {!Verify.run} over the squashed image; raises
     {!Check_failed} (as pass ["lint"]) when any error-severity diagnostic
-    fires.  Not part of {!standard}; append it (or pass [~lint:true] to
+    fires.  Append it to {!of_options} (or pass [~lint:true] to
     {!Squash.run}) to lint as part of the pipeline. *)
 
 val prove_pass : Pass.t
 (** The prove level: {!Prove.run} with two cache slots over the squashed
     image; raises {!Check_failed} (as pass ["prove"]) when any region block
-    cannot be proved equivalent to its materialised rewrite.  Ordered after
-    ["lint"] when both run, so structural diagnostics surface before
-    equivalence ones. *)
-
-val standard : Pass.t list
-(** All seven passes, in paper order. *)
-
-val of_options : Pass.options -> Pass.t list
-(** The standard list with option-disabled passes removed (currently:
-    ["unswitch"] when [options.unswitch] is false).  This replaces the old
-    ad-hoc [if options.unswitch then … else] branch. *)
-
-val skip : string list -> Pass.t list -> Pass.t list
-(** Remove passes by name. *)
-
-val by_name : string -> Pass.t option
-(** Look up a standard pass, ["lint"] or ["prove"]. *)
+    cannot be proved equivalent to its materialised rewrite.
+    {!Squash.run} appends it after ["lint"], so structural diagnostics
+    surface before equivalence ones. *)
 
 val names : Pass.t list -> string list
 
@@ -86,19 +65,15 @@ val execute :
   passes:Pass.t list ->
   Pass.state ->
   Pass.state * run_stats
-(** Run [passes] in order.
+(** Run [passes] in order.  Any pass list runs; {!of_options} gives the
+    squash pipeline, and tests insert passes of their own into it.
 
-    Ordering is validated up front: every [requires] of a pass must appear
-    earlier in the list, every [after] constraint must hold, and no name
-    may repeat — violations raise [Invalid_argument] before anything runs.
-
-    With [~check_each:true], {!Prog_check.check} (against the state's
-    profile) runs after every pass, plus the gate's structure level
-    ({!Verify.structure}, error-severity diagnostics only) once a squashed
-    image exists; a failure raises {!Check_failed} naming the offending
-    pass.  [trace] receives one line per pass as it completes.  [obs]
-    receives {!Obs.Event.Pass_begin}/{!Obs.Event.Pass_end} span events
-    (wall clock) and a ["pipeline.passes_run"] counter bump per pass. *)
+    With [~check_each:true], {!Prog.validate} runs after every pass,
+    together with a check that every block the state's profile names still
+    exists; a failure raises {!Check_failed} naming the offending pass.
+    [trace] receives one line per pass as it completes.  [obs] receives
+    {!Obs.Event.Pass_begin}/{!Obs.Event.Pass_end} span events (wall clock)
+    and a ["pipeline.passes_run"] counter bump per pass. *)
 
 val render_stats : run_stats -> string
 (** An aligned text table of the per-pass statistics. *)

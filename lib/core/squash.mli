@@ -57,7 +57,7 @@ val run :
   ?options:options -> ?setjmp_callers:string list -> ?check_each:bool ->
   ?lint:bool -> ?prove:bool -> ?trace:(string -> unit) -> ?obs:Obs.t ->
   Prog.t -> Profile.t -> result
-(** A thin composition of the standard pass list: equivalent to
+(** A thin composition of the squash pass list: equivalent to
     [Pipeline.execute ~passes:(Pipeline.of_options options)] over
     [Pass.init].
 
@@ -66,10 +66,10 @@ val run :
     the program's [Sys setjmp] instructions, so the argument is only needed
     for call sites hidden behind indirection.
 
-    The three flags below are the levels of the image gate ({!Verify}).
-    [check_each] validates the IR (and, once built, the squashed image's
-    structure) after every pass and raises {!Pipeline.Check_failed} naming
-    the pass that broke an invariant.  [lint] appends {!Pipeline.lint_pass}
+    [check_each] validates the IR ({!Prog.validate}, plus the profile's
+    block indices) after every pass and raises {!Pipeline.Check_failed}
+    naming the pass that broke an invariant.  The other two flags are the
+    levels of the image gate ({!Verify}).  [lint] appends {!Pipeline.lint_pass}
     ({!Verify.run} over the finished image), raising
     {!Pipeline.Check_failed} as pass ["lint"] on any error-severity
     diagnostic.  [prove] appends {!Pipeline.prove_pass}, the symbolic

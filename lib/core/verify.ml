@@ -210,16 +210,6 @@ let check_streams acc (sq : Rewrite.t) =
             (List.length img.Rewrite.stream))
     sq.Rewrite.images
 
-let check_structure acc sq =
-  check_layout acc sq;
-  ignore (check_stubs acc sq);
-  check_streams acc sq
-
-let structure sq =
-  let acc = ref [] in
-  check_structure acc sq;
-  List.rev !acc
-
 (* --- the semantic checks ------------------------------------------------ *)
 
 (* Block reachability as a forward {!Dataflow} client over a boolean
@@ -242,7 +232,10 @@ let reachable_blocks f =
 
 let run (sq : Rewrite.t) =
   let acc = ref [] in
-  check_structure acc sq;
+  (* The loader facts: layout, entry stubs and streams. *)
+  check_layout acc sq;
+  ignore (check_stubs acc sq);
+  check_streams acc sq;
   let diag ?region ?addr severity kind site fmt =
     add acc ?region ?addr severity kind site fmt
   in

@@ -4,12 +4,11 @@
 
     The gate has three levels, each containing the one before:
 
-    + {b structure} ({!structure}): the mechanical facts a loader would
-      check — the layout, the entry stubs and the compressed streams.
-      [Pipeline.execute ~check_each:true] runs this level after every
-      pass once an image exists.
-    + {b lint} ({!run}): structure plus the semantic invariants the
-      rewrite relies on, proved without executing anything.
+    + {b loader facts}: the mechanical facts a loader would check — the
+      layout, the entry stubs and the compressed streams.  {!run} checks
+      them first; nothing checks them alone.
+    + {b lint} ({!run}): the loader facts plus the semantic invariants
+      the rewrite relies on, proved without executing anything.
     + {b prove} ([Prove.run]): translation validation of every region
       block at every cache slot.  It reuses this module's stub check
       ({!stubs}) and decode ({!decode}) and reports through the same
@@ -84,14 +83,12 @@ type diag = {
   message : string;
 }
 
-val structure : Rewrite.t -> diag list
-(** The structure level: layout, entry stubs and streams, in that order. *)
-
 val run : Rewrite.t -> diag list
-(** The lint level: {!structure} followed by the semantic checks, in
-    discovery order.  Self-contained: recomputes the address-taken set,
-    the sharpened buffer-safe analysis and the liveness facts from the
-    image's own program and regions. *)
+(** The lint level: the loader facts (layout, entry stubs and streams, in
+    that order) followed by the semantic checks, in discovery order.
+    Self-contained: recomputes the address-taken set, the sharpened
+    buffer-safe analysis and the liveness facts from the image's own
+    program and regions. *)
 
 val stubs : Rewrite.t -> diag list * int
 (** The entry-stub obligations alone ({!Bad_stub}, {!Live_stub_reg}), and

@@ -55,18 +55,25 @@ let reset () =
   Memo.clear profile_memo
 
 let prepare (wl : Workload.t) =
-  let digest = workload_digest wl in
-  Memo.get prepared_memo
-    (wl.Workload.name ^ ":" ^ digest)
-    (fun () ->
-      let compiled = Workload.compile wl in
-      let input_prog = Squeeze.remove_unreachable compiled in
-      let squeezed, squeeze_stats = Squeeze.run compiled in
-      let profile, profile_outcome =
-        Profile.collect ~fuel squeezed ~input:(Workload.profiling_input wl)
-      in
-      { wl; digest; input_prog; squeezed; squeeze_stats; profile;
-        profile_outcome })
+  (* Only what [prepare] reads: forcing the timing or drift input here
+     would generate inputs [lint] and [prove] never run. *)
+  let digest = digest [ wl.Workload.source; Workload.profiling_input wl ] in
+  let p =
+    Memo.get prepared_memo
+      (wl.Workload.name ^ ":" ^ digest)
+      (fun () ->
+        let compiled = Workload.compile wl in
+        let input_prog = Squeeze.remove_unreachable compiled in
+        let squeezed, squeeze_stats = Squeeze.run compiled in
+        let profile, profile_outcome =
+          Profile.collect ~fuel squeezed ~input:(Workload.profiling_input wl)
+        in
+        { wl; digest; input_prog; squeezed; squeeze_stats; profile;
+          profile_outcome })
+  in
+  (* A workload differing only in its run inputs shares the entry, but its
+     runs must read its own inputs. *)
+  if p.wl == wl then p else { p with wl }
 
 (* ------------------------------------------------------------------ *)
 (* Profile provenance (lifecycle experiments).  A [profile_spec] names
@@ -96,12 +103,20 @@ let run_input_string p = function
   | `Timing -> Workload.timing_input p.wl
   | `Drift -> Workload.drift_input p.wl
 
+(* Memo key fragments for what a computation reads beyond [p.digest]: the
+   run input it executes, and the drift input an oracle profile is
+   collected on. *)
+let run_key p on = "|run=" ^ run_label on ^ ":" ^ digest [ run_input_string p on ]
+
+let spec_key p spec =
+  "|profile=" ^ spec_label spec
+  ^ match spec with Poracle -> ":" ^ digest [ Workload.drift_input p.wl ] | _ -> ""
+
 let profile_for p spec =
   match spec with
   | Pexact -> p.profile
   | _ ->
-    Memo.get profile_memo
-      (p.digest ^ "|" ^ spec_label spec)
+    Memo.get profile_memo (p.digest ^ spec_key p spec)
       (fun () ->
         match spec with
         | Pexact -> p.profile
@@ -119,14 +134,14 @@ let profile_for p spec =
         | Ptruncated { keep } -> Profile_ops.truncate_top p.profile ~keep)
 
 let baseline_timing ?(on = `Timing) p =
-  let key = p.digest ^ "|run=" ^ run_label on in
-  Memo.get baseline_memo key (fun () ->
+  Memo.get baseline_memo (p.digest ^ run_key p on) (fun () ->
       Vm.run
         (Vm.of_image ~fuel (Layout.emit p.squeezed) ~input:(run_input_string p on)))
 
 let squash_result ?(pspec = Pexact) p options =
-  let okey = options_key options ^ "|profile=" ^ spec_label pspec in
-  Memo.get squash_memo (p.digest ^ "|" ^ okey) (fun () ->
+  Memo.get squash_memo
+    (p.digest ^ "|" ^ options_key options ^ spec_key p pspec)
+    (fun () ->
       Squash.run ~options p.squeezed (profile_for p pspec))
 
 let squash_with_profile p options profile =
@@ -136,7 +151,7 @@ let timing_run ?(slots = 1) ?(pspec = Pexact) ?(on = `Timing) p (r : Squash.resu
   let okey =
     options_key r.Squash.options
     ^ (if slots = 1 then "" else Printf.sprintf "|slots=%d" slots)
-    ^ "|profile=" ^ spec_label pspec ^ "|run=" ^ run_label on
+    ^ spec_key p pspec ^ run_key p on
   in
   Memo.get timing_memo (p.digest ^ "|" ^ okey) (fun () ->
       (* The divergence check runs before the entry is memoized, so a

@@ -4,12 +4,14 @@
 
     Every memo table here is domain-safe and compute-once ({!Memo}), so
     the {!Engine} can evaluate experiment cells concurrently, and every
-    entry is keyed by a {e content digest} of the workload (source text,
-    profiling input, timing input — {!workload_digest}) plus the full
-    option record ({!options_key}), never by workload name alone: a
+    entry is keyed by a {e content digest} of exactly the workload parts
+    it reads (the source text and profiling input; for a run, also that
+    run's input; for an oracle profile, also the drift input) plus the
+    full option record ({!options_key}), never by workload name alone: a
     changed workload hashes to a different key and can never serve a stale
-    artifact.  The memos live only in this process; {!reset} empties them,
-    so the next call recomputes from the workload source.
+    artifact, and preparing or squashing a workload never generates its
+    timing or drift input.  The memos live only in this process; {!reset}
+    empties them, so the next call recomputes from the workload source.
 
     The θ scale: the paper's thresholds are fractions of the {e profiled}
     dynamic instruction count, and its profiling runs execute billions of
@@ -22,7 +24,9 @@
 
 type prepared = {
   wl : Workload.t;
-  digest : string;  (** {!workload_digest} of [wl]; the memo key root. *)
+  digest : string;
+      (** Content digest of [wl]'s source text and profiling input; the
+          memo key root. *)
   input_prog : Prog.t;
       (** After unreachable-code and no-op elimination only — the paper's
           Table 1 "Input" column. *)
@@ -35,7 +39,9 @@ type prepared = {
 val workload_digest : Workload.t -> string
 (** Hex MD5 of the source text and the profiling, timing and drift
     inputs, each length-prefixed so that two workloads whose fields
-    concatenate to the same string still get different digests. *)
+    concatenate to the same string still get different digests.  It names
+    the whole workload (the performance benchmark pins it); the memos key
+    by the same scheme over only the parts each one reads. *)
 
 val options_key : Squash.options -> string
 (** Canonical fingerprint of the full option record (every field). *)
@@ -63,8 +69,8 @@ type run_input = [ `Timing | `Drift ]
 val run_label : run_input -> string
 
 val profile_for : prepared -> profile_spec -> Profile.t
-(** Materialise the spec'd profile (memoized by workload digest + spec
-    label). *)
+(** Materialise the spec'd profile (memoized by [digest] + spec label,
+    plus the drift input's digest for [Poracle]). *)
 
 val reset : unit -> unit
 (** Clear every memo table, so each later call recomputes its artifact.
@@ -73,7 +79,8 @@ val reset : unit -> unit
     concurrently with the functions below. *)
 
 val prepare : Workload.t -> prepared
-(** Memoized by workload name + content digest. *)
+(** Memoized by workload name + the digest of the source text and
+    profiling input.  Forces neither the timing nor the drift input. *)
 
 val baseline_timing : ?on:run_input -> prepared -> Vm.outcome
 (** The squeezed program on the selected run input (default [`Timing]);

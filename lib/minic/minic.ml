@@ -12,7 +12,7 @@ let compile src =
     let prog = Mc_codegen.generate rp in
     match Prog.validate prog with
     | Ok () -> prog
-    | Error msg -> raise (Mc_codegen.Codegen_error ("internal: " ^ msg))
+    | Error msgs -> raise (Mc_codegen.Codegen_error ("internal: " ^ List.hd msgs))
   with
   | prog -> Ok prog
   | exception Mc_lexer.Lex_error (p, m) ->

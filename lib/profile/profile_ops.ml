@@ -64,28 +64,6 @@ let truncate_top p ~keep =
     ~source:(derived p (Printf.sprintf "truncate top %d" keep))
     entries
 
-let quantize_value bits v =
-  if v <= 0 then v
-  else begin
-    let n = ref 0 in
-    while v lsr !n > 0 do
-      incr n
-    done;
-    (* !n = significant bits of v; zero everything below the top [bits]. *)
-    if !n <= bits then v else v land lnot ((1 lsl (!n - bits)) - 1)
-  end
-
-let quantize p ~bits =
-  if bits < 1 then invalid_arg "Profile_ops.quantize: bits must be >= 1";
-  let entries =
-    Profile.entries p
-    |> List.map (fun (key, f, w) -> (key, quantize_value bits f, quantize_value bits w))
-    |> List.filter nonzero
-  in
-  Profile.of_entries
-    ~source:(derived p (Printf.sprintf "quantize %db" bits))
-    entries
-
 let distance a b =
   let ta = float_of_int (Profile.total_weight a) in
   let tb = float_of_int (Profile.total_weight b) in

@@ -3,7 +3,7 @@
     A production profile pipeline rarely ships the exact counts of a
     single run: it merges profiles from many inputs (weighted by traffic
     share), ages out profiles from old releases (exponential decay),
-    truncates or quantises before shipping, and needs a distance metric
+    truncates before shipping, and needs a distance metric
     to decide when a deployed profile has drifted far enough to
     re-profile.  These operations all return {!Profile.t} values whose
     {!Profile.source} is [Derived] with a human-readable recipe, so
@@ -24,11 +24,6 @@ val decay : Profile.t -> factor:float -> Profile.t
 val truncate_top : Profile.t -> keep:int -> Profile.t
 (** Keep only the [keep] heaviest blocks (ties broken by key order, so
     the result is deterministic); the total becomes the kept weight sum. *)
-
-val quantize : Profile.t -> bits:int -> Profile.t
-(** Keep only the top [bits] significant bits of every count (zeroing the
-    rest) — the lossy compaction a profile pipeline applies before
-    shipping.  @raise Invalid_argument if [bits < 1]. *)
 
 val distance : Profile.t -> Profile.t -> float
 (** Total-variation distance between the normalised block-weight

@@ -97,105 +97,93 @@ let successors (f : Func.t) i =
   | Return _ | No_return -> []
 
 let validate t =
-  let ( let* ) = Result.bind in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
+  let errors = ref [] in
+  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
+  if find_func t t.entry = None then err "entry function %s undefined" t.entry;
+  let rec dups = function
+    | a :: b :: rest when a = b ->
+      err "duplicate function %s" a;
+      dups (List.filter (fun n -> n <> a) rest)
+    | _ :: rest -> dups rest
+    | [] -> ()
+  in
+  dups (List.sort String.compare (func_names t));
   let check_func (f : Func.t) =
     let n = Array.length f.blocks in
-    let check_dest what d =
-      if d >= 0 && d < n then Ok ()
-      else err "%s: %s destination %d out of range [0,%d)" f.name what d n
+    if n = 0 then err "%s: function has no blocks" f.name;
+    let check_dest i what d =
+      if d < 0 || d >= n then
+        err "%s/block %d: %s targets block %d of %d" f.name i what d n
     in
-    let check_block i (b : Block.t) =
-      let* () =
-        List.fold_left
-          (fun acc it ->
-            let* () = acc in
-            match it with
+    let check_table i what tid =
+      if tid < 0 || tid >= Array.length f.tables then
+        err "%s/block %d: %s unknown jump table %d" f.name i what tid
+    in
+    let check_return i what return_to =
+      check_dest i what return_to;
+      (* The hardware return address is simply pc + 4. *)
+      if return_to <> i + 1 then
+        err "%s/block %d: call must return to the next block (got .%d)" f.name i
+          return_to
+    in
+    Array.iteri
+      (fun i (b : Block.t) ->
+        List.iteri
+          (fun j -> function
+            (* The decompressor-reserved marker encodings exist only inside
+               compressed streams: one in the IR means a transform leaked an
+               image word back into the program. *)
+            | Instr Instr.Sentinel ->
+              err "%s/block %d: stray sentinel marker at item %d" f.name i j
+            | Instr (Instr.Bsrx _) ->
+              err "%s/block %d: stray Bsrx marker at item %d" f.name i j
+            | Instr (Instr.Jsr { hint = 1; _ }) ->
+              err "%s/block %d: stray Jsr restore marker at item %d" f.name i j
             | Instr ins when Instr.is_control_transfer ins ->
               err "%s/block %d: control transfer %s in block body" f.name i
                 (Instr.to_string ins)
-            | Instr Instr.Sentinel -> err "%s/block %d: sentinel in block body" f.name i
-            | Instr _ -> Ok ()
-            | Load_addr (r, Table_addr tid) ->
-              if not (Reg.is_valid r) then err "%s/block %d: bad register" f.name i
-              else if tid < 0 || tid >= Array.length f.tables then
-                err "%s/block %d: unknown jump table %d" f.name i tid
-              else Ok ()
-            | Load_addr (r, Func_addr g) ->
-              if not (Reg.is_valid r) then err "%s/block %d: bad register" f.name i
-              else if find_func t g = None then
-                err "%s/block %d: address of undefined function %s" f.name i g
-              else Ok ())
-          (Ok ()) b.items
-      in
-      match b.term with
-      | Fallthrough d | Jump d -> check_dest (Printf.sprintf "block %d" i) d
-      | Branch (_, _, d1, d2) ->
-        let* () = check_dest (Printf.sprintf "block %d taken" i) d1 in
-        check_dest (Printf.sprintf "block %d fallthrough" i) d2
-      | Call { callee; return_to; _ } ->
-        let* () = check_dest (Printf.sprintf "block %d return" i) return_to in
-        let* () =
-          if return_to <> i + 1 then
-            err "%s/block %d: call must return to the next block (got .%d)" f.name i
-              return_to
-          else Ok ()
-        in
-        if find_func t callee = None then
-          err "%s/block %d: call to undefined function %s" f.name i callee
-        else Ok ()
-      | Call_indirect { return_to; _ } ->
-        let* () = check_dest (Printf.sprintf "block %d return" i) return_to in
-        if return_to <> i + 1 then
-          err "%s/block %d: call must return to the next block (got .%d)" f.name i
-            return_to
-        else Ok ()
-      | Jump_indirect { table = Some tid; _ } ->
-        if tid < 0 || tid >= Array.length f.tables then
-          err "%s/block %d: unknown jump table %d" f.name i tid
-        else Ok ()
-      | Jump_indirect { table = None; _ } | Return _ | No_return -> Ok ()
-    in
-    let* () =
-      if n = 0 then err "%s: function has no blocks" f.name else Ok ()
-    in
-    let* () =
-      Array.to_seqi f.blocks
-      |> Seq.fold_left
-           (fun acc (i, b) ->
-             let* () = acc in
-             check_block i b)
-           (Ok ())
-    in
-    Array.to_list f.tables
-    |> List.concat_map Array.to_list
-    |> List.fold_left
-         (fun acc d ->
-           let* () = acc in
-           check_dest "jump table" d)
-         (Ok ())
+            | Instr _ -> ()
+            | Load_addr (r, sym) -> (
+              if not (Reg.is_valid r) then
+                err "%s/block %d: invalid register in load-addr at item %d" f.name
+                  i j;
+              match sym with
+              | Table_addr tid -> check_table i "load-addr of" tid
+              | Func_addr g ->
+                if find_func t g = None then
+                  err "%s/block %d: address of undefined function %s" f.name i g))
+          b.items;
+        match b.term with
+        | Fallthrough d -> check_dest i "fallthrough" d
+        | Jump d -> check_dest i "jump" d
+        | Branch (_, r, d1, d2) ->
+          if not (Reg.is_valid r) then
+            err "%s/block %d: invalid branch register" f.name i;
+          check_dest i "taken branch" d1;
+          check_dest i "fallthrough branch" d2
+        | Call { callee; return_to; _ } ->
+          check_return i "call return" return_to;
+          if find_func t callee = None then
+            err "%s/block %d: call to undefined function %s" f.name i callee
+        | Call_indirect { rb; return_to; _ } ->
+          if not (Reg.is_valid rb) then
+            err "%s/block %d: invalid indirect-call register" f.name i;
+          check_return i "indirect-call return" return_to
+        | Jump_indirect { table = Some tid; _ } -> check_table i "jump through" tid
+        | Jump_indirect { table = None; _ } | Return _ | No_return -> ())
+      f.blocks;
+    Array.iteri
+      (fun tid tbl ->
+        if Array.length tbl = 0 then err "%s: jump table %d is empty" f.name tid;
+        Array.iter
+          (fun d ->
+            if d < 0 || d >= n then
+              err "%s: jump table %d entry targets block %d of %d" f.name tid d n)
+          tbl)
+      f.tables
   in
-  let* () =
-    let names = func_names t in
-    let sorted = List.sort String.compare names in
-    let rec dup = function
-      | a :: b :: _ when a = b -> Some a
-      | _ :: rest -> dup rest
-      | [] -> None
-    in
-    match dup sorted with
-    | Some name -> err "duplicate function %s" name
-    | None -> Ok ()
-  in
-  let* () =
-    if find_func t t.entry = None then err "entry function %s undefined" t.entry
-    else Ok ()
-  in
-  List.fold_left
-    (fun acc f ->
-      let* () = acc in
-      check_func f)
-    (Ok ()) t.funcs
+  List.iter check_func t.funcs;
+  match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let pp_term ppf = function
   | Fallthrough d -> Format.fprintf ppf "fallthrough .%d" d

@@ -91,12 +91,16 @@ val func_instr_count : Func.t -> int
 val instr_count : t -> int
 (** Total emitted instructions, excluding jump-table data words. *)
 
-val validate : t -> (unit, string) result
-(** Check structural invariants: every [dest] and table id in range, every
-    callee defined, the entry function defined, no control-transfer
-    instruction hiding in [Instr], table entries in range, and — because the
-    hardware return address is simply [pc + 4] — that every call's
-    [return_to] is the lexically next block. *)
+val validate : t -> (unit, string list) result
+(** Check structural invariants and report {e every} violation, in
+    program order: the entry function defined, no duplicate function,
+    every [dest], table id and register in range, every callee and
+    addressed function defined, no empty jump table, no control-transfer
+    instruction hiding in [Instr], and — because the hardware return
+    address is simply [pc + 4] — every call's [return_to] the lexically
+    next block.  It also rejects the decompressor-reserved marker
+    encodings ([Sentinel], [Bsrx], [Jsr] with hint 1) in a block body:
+    they exist only inside compressed streams. *)
 
 val successors : Func.t -> int -> dest list
 (** Intra-function CFG successors of a block (call terminators fall through

@@ -163,6 +163,34 @@ int main() { return pad(4) & 255; }
           <> Prog.instr_count p2.Exp_data.squeezed);
         Alcotest.(check int) "wl1 exits 3" 3
           p1.Exp_data.profile_outcome.Vm.exit_code);
+    Alcotest.test_case "prepare and squash force no timing or drift input"
+      `Quick (fun () ->
+        (* lint and prove only prepare and squash; generating the run
+           inputs for them is wasted work. *)
+        let wl =
+          { (test_wl "no-run-inputs" "int main() { putint(getc()); return 0; }")
+            with
+            Workload.timing_input = lazy (failwith "timing input forced");
+            drift_input = lazy (failwith "drift input forced") }
+        in
+        let p = Exp_data.prepare wl in
+        let r =
+          Exp_data.squash_result p { Squash.default_options with Squash.theta = 1.0 }
+        in
+        Alcotest.(check bool) "image built" true
+          (Rewrite.total_words r.Squash.squashed > 0));
+    Alcotest.test_case "runs are keyed by their input" `Quick (fun () ->
+        (* Same source and profiling input, different timing inputs: the
+           prepared entry is shared, the baseline runs are not. *)
+        let wl timing =
+          { (test_wl "same-run-name" "int main() { putint(getc()); return 0; }")
+            with
+            Workload.timing_input = Lazy.from_val timing }
+        in
+        let out timing =
+          (Exp_data.baseline_timing (Exp_data.prepare (wl timing))).Vm.output
+        in
+        Alcotest.(check bool) "outputs differ" true (out "a" <> out "b"));
     Alcotest.test_case "options_key covers every option field" `Quick
       (fun () ->
         let base = Squash.default_options in

@@ -1,4 +1,4 @@
-(* The instrumented pass pipeline: ordering, skipping, per-pass validation,
+(* The instrumented pass pipeline: its fixed order, per-pass validation,
    stats invariants, and byte-identity of Squash.run with an explicit
    pipeline run. *)
 
@@ -57,11 +57,11 @@ let prepared = lazy (
   let prof, _ = Profile.collect p ~input:"n" in
   (p, prof))
 
-let manual_squash ?(passes = None) options p prof =
-  let passes =
-    match passes with Some l -> l | None -> Pipeline.of_options options
+let manual_squash options p prof =
+  let st, stats =
+    Pipeline.execute ~passes:(Pipeline.of_options options)
+      (Pass.init ~options p prof)
   in
-  let st, stats = Pipeline.execute ~passes (Pass.init ~options p prof) in
   (Pass.get_squashed ~who:"test" st, stats)
 
 let check_identical name (a : Rewrite.t) (b : Rewrite.t) =
@@ -81,8 +81,6 @@ let check_identical name (a : Rewrite.t) (b : Rewrite.t) =
 let corrupting_pass =
   {
     Pass.name = "corrupt";
-    requires = [];
-    after = [];
     transform =
       (fun st ->
         let p = st.Pass.prog in
@@ -102,7 +100,7 @@ let corrupting_pass =
 
 let ordering_tests =
   [
-    Alcotest.test_case "standard order is accepted" `Quick (fun () ->
+    Alcotest.test_case "standard order is the paper's" `Quick (fun () ->
         let p, prof = Lazy.force prepared in
         let _, stats = manual_squash Squash.default_options p prof in
         Alcotest.(check (list string))
@@ -111,61 +109,6 @@ let ordering_tests =
             "rewrite" ]
           (List.map (fun (s : Pass.stats) -> s.Pass.pass_name)
              stats.Pipeline.passes));
-    Alcotest.test_case "missing prerequisite is rejected up front" `Quick
-      (fun () ->
-        let p, prof = Lazy.force prepared in
-        Alcotest.check_raises "regions without cold"
-          (Invalid_argument
-             "Pipeline.execute: pass \"regions\" requires \"cold\" to run earlier")
-          (fun () ->
-            ignore
-              (Pipeline.execute ~passes:[ Pipeline.regions_pass ]
-                 (Pass.init p prof))));
-    Alcotest.test_case "soft ordering: exclude may not precede unswitch" `Quick
-      (fun () ->
-        let p, prof = Lazy.force prepared in
-        let bad =
-          [ Pipeline.cold_pass; Pipeline.exclude_pass; Pipeline.unswitch_pass;
-            Pipeline.regions_pass; Pipeline.buffer_safe_pass;
-            Pipeline.rewrite_pass ]
-        in
-        Alcotest.check_raises "exclude before unswitch"
-          (Invalid_argument
-             "Pipeline.execute: pass \"exclude\" must come after \"unswitch\"")
-          (fun () -> ignore (Pipeline.execute ~passes:bad (Pass.init p prof))));
-    Alcotest.test_case "duplicate pass is rejected" `Quick (fun () ->
-        let p, prof = Lazy.force prepared in
-        Alcotest.check_raises "cold twice"
-          (Invalid_argument "Pipeline.execute: pass \"cold\" appears twice")
-          (fun () ->
-            ignore
-              (Pipeline.execute
-                 ~passes:[ Pipeline.cold_pass; Pipeline.cold_pass ]
-                 (Pass.init p prof))));
-    Alcotest.test_case "exclude without unswitch in the list is fine" `Quick
-      (fun () ->
-        (* The soft constraint only binds when unswitch is present. *)
-        let p, prof = Lazy.force prepared in
-        let passes = Pipeline.skip [ "unswitch" ] Pipeline.standard in
-        let sq, _ = manual_squash ~passes:(Some passes) Squash.default_options p prof in
-        Alcotest.(check bool) "produced an image" true
-          (Rewrite.total_words sq > 0));
-  ]
-
-let skipping_tests =
-  [
-    Alcotest.test_case "skipping unswitch == options.unswitch = false" `Quick
-      (fun () ->
-        let p, prof = Lazy.force prepared in
-        let opts = { Squash.default_options with Squash.unswitch = false } in
-        let via_options = Squash.run ~options:opts p prof in
-        let via_skip, _ =
-          manual_squash
-            ~passes:(Some (Pipeline.skip [ "unswitch" ] Pipeline.standard))
-            (* Keep the options identical so the image is byte-identical. *)
-            opts p prof
-        in
-        check_identical "skip-vs-option" via_options.Squash.squashed via_skip);
     Alcotest.test_case "of_options drops unswitch exactly when disabled" `Quick
       (fun () ->
         let names o = Pipeline.names (Pipeline.of_options o) in
@@ -174,13 +117,6 @@ let skipping_tests =
         Alcotest.(check bool) "off" false
           (List.mem "unswitch"
              (names { Squash.default_options with Squash.unswitch = false })));
-    Alcotest.test_case "by_name finds every standard pass" `Quick (fun () ->
-        List.iter
-          (fun n ->
-            match Pipeline.by_name n with
-            | Some p -> Alcotest.(check string) "name" n p.Pass.name
-            | None -> Alcotest.failf "pass %s not found" n)
-          (Pipeline.names Pipeline.standard));
   ]
 
 let check_each_tests =
@@ -197,9 +133,10 @@ let check_each_tests =
       (fun () ->
         let p, prof = Lazy.force prepared in
         let passes =
-          [ Pipeline.cold_pass; corrupting_pass; Pipeline.unswitch_pass;
-            Pipeline.exclude_pass; Pipeline.regions_pass;
-            Pipeline.buffer_safe_pass; Pipeline.rewrite_pass ]
+          List.concat_map
+            (fun (q : Pass.t) ->
+              if q.Pass.name = "cold" then [ q; corrupting_pass ] else [ q ])
+            (Pipeline.of_options Squash.default_options)
         in
         (match
            Pipeline.execute ~check_each:true ~passes (Pass.init p prof)
@@ -209,10 +146,27 @@ let check_each_tests =
           Alcotest.(check string) "blamed pass" "corrupt" pass;
           Alcotest.(check bool) "mentions the sentinel" true
             (List.exists (fun e -> contains e "sentinel") errors));
-        (* Without check_each the same list runs to completion — the
-           corruption is only caught later, at the final image check. *)
+        (* Without check_each the same list runs to completion: nothing
+           checks the IR between passes. *)
         let st, _ = Pipeline.execute ~passes (Pass.init p prof) in
         Alcotest.(check bool) "image still built" true (st.Pass.squashed <> None));
+    Alcotest.test_case "stale profile indices are caught at the first pass"
+      `Quick (fun () ->
+        (* A profile of another program names blocks this one lacks; the
+           damage is there before any pass runs, so the first pass is
+           blamed. *)
+        let _, prof = Lazy.force prepared in
+        let other = squeeze (compile "int main() { putint(1); return 0; }") in
+        match
+          Pipeline.execute ~check_each:true
+            ~passes:(Pipeline.of_options Squash.default_options)
+            (Pass.init other prof)
+        with
+        | _ -> Alcotest.fail "stale profile not detected"
+        | exception Pipeline.Check_failed { pass; errors } ->
+          Alcotest.(check string) "blamed pass" "resolve" pass;
+          Alcotest.(check bool) "mentions the profile" true
+            (List.exists (fun e -> contains e "profile") errors));
     Alcotest.test_case "Squash.run ~check_each works end to end" `Quick
       (fun () ->
         let p, prof = Lazy.force prepared in
@@ -308,12 +262,11 @@ let identity_tests =
           Workloads.all);
   ]
 
-let prog_check_tests =
+let validate_tests =
   [
-    Alcotest.test_case "a healthy program and profile check clean" `Quick
-      (fun () ->
-        let p, prof = Lazy.force prepared in
-        match Prog_check.check ~profile:prof p with
+    Alcotest.test_case "a healthy program validates clean" `Quick (fun () ->
+        let p, _ = Lazy.force prepared in
+        match Prog.validate p with
         | Ok () -> ()
         | Error es -> Alcotest.failf "unexpected: %s" (String.concat "; " es));
     Alcotest.test_case "stray markers in a block body are all reported" `Quick
@@ -336,7 +289,7 @@ let prog_check_tests =
             { f with Prog.Func.blocks = blocks } :: rest
           | [] -> []
         in
-        match Prog_check.check { p with Prog.funcs } with
+        match Prog.validate { p with Prog.funcs } with
         | Ok () -> Alcotest.fail "markers not detected"
         | Error es ->
           (* One error per marker: the validator collects everything. *)
@@ -345,27 +298,9 @@ let prog_check_tests =
                (String.concat "; " es))
             true
             (List.length es = 3));
-    Alcotest.test_case "stale profile indices are reported" `Quick (fun () ->
-        let p, prof = Lazy.force prepared in
-        let other =
-          squeeze (compile "int main() { putint(1); return 0; }")
-        in
-        ignore p;
-        match Prog_check.check ~profile:prof other with
-        | Ok () -> Alcotest.fail "stale profile not detected"
-        | Error es ->
-          Alcotest.(check bool) "mentions the profile" true
-            (List.exists (fun e -> contains e "profile") es));
-    Alcotest.test_case "check_exn raises on a bad program" `Quick (fun () ->
-        let bad =
-          { Prog.funcs = []; entry = "main"; data_words = 0; data_init = [] }
-        in
-        match Prog_check.check_exn bad with
-        | () -> Alcotest.fail "empty program accepted"
-        | exception Failure _ -> ());
   ]
 
 let suite =
   [ ("pipeline",
-     ordering_tests @ skipping_tests @ check_each_tests @ stats_tests
-     @ identity_tests @ prog_check_tests) ]
+     ordering_tests @ check_each_tests @ stats_tests @ identity_tests
+     @ validate_tests) ]

@@ -94,18 +94,6 @@ let truncate_invariants =
       && Profile.total_weight t
          = List.fold_left (fun acc (_, _, w) -> acc + w) 0 kept)
 
-let quantize_invariants =
-  QCheck.Test.make ~count:200
-    ~name:"quantize bounds every count in (v/2, v]"
-    (QCheck.pair arb_profile (QCheck.int_range 1 8))
-    (fun (p, bits) ->
-      let q = Profile_ops.quantize p ~bits in
-      List.for_all
-        (fun ((fn, blk), fr, w) ->
-          let ok v qv = if v = 0 then qv = 0 else qv <= v && 2 * qv > v in
-          ok fr (Profile.freq q fn blk) && ok w (Profile.weight q fn blk))
-        (Profile.entries p))
-
 let distance_self =
   QCheck.Test.make ~count:200 ~name:"distance (p, p) = 0" arb_profile
     (fun p -> Profile_ops.distance p p = 0.0)
@@ -132,7 +120,7 @@ let algebra_tests =
     [
       merge_commutes; merge_associates; decay_one_is_identity;
       decay_zero_empties; decay_distributes; truncate_invariants;
-      quantize_invariants; distance_self; distance_symmetric_bounded;
+      distance_self; distance_symmetric_bounded;
       distance_scale_invariant;
     ]
 
@@ -166,9 +154,7 @@ let unit_tests =
         Alcotest.(check bool) "decay" true
           (is_derived (Profile_ops.decay p ~factor:0.5));
         Alcotest.(check bool) "truncate" true
-          (is_derived (Profile_ops.truncate_top p ~keep:1));
-        Alcotest.(check bool) "quantize" true
-          (is_derived (Profile_ops.quantize p ~bits:4)));
+          (is_derived (Profile_ops.truncate_top p ~keep:1)));
     Alcotest.test_case "distance of empty profiles" `Quick (fun () ->
         let p = Profile.of_entries [ (("main", 0), 1, 5) ] in
         Alcotest.(check (float 1e-12)) "empty/empty" 0.0

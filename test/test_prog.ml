@@ -26,7 +26,7 @@ let unit_tests =
     Alcotest.test_case "validate accepts a good program" `Quick (fun () ->
         match Prog.validate (parse branchy) with
         | Ok () -> ()
-        | Error e -> Alcotest.fail e);
+        | Error es -> Alcotest.fail (String.concat "; " es));
     Alcotest.test_case "validate rejects bad destinations" `Quick (fun () ->
         let p = parse branchy in
         let f = List.hd p.Prog.funcs in

@@ -15,7 +15,7 @@ let assert_same_behaviour ?input src =
   let q, _ = Squeeze.run p in
   (match Prog.validate q with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "squeezed program invalid: %s" e);
+  | Error es -> Alcotest.failf "squeezed program invalid: %s" (String.concat "; " es));
   let o1 = run_prog ?input p in
   let o2 = run_prog ?input q in
   Alcotest.(check (triple int string unit))
@@ -171,7 +171,9 @@ let differential_tests =
             let q, _ = Squeeze.run p in
             (match Prog.validate q with
             | Ok () -> ()
-            | Error e -> Alcotest.failf "seed %d: squeezed invalid: %s" seed e);
+            | Error es ->
+              Alcotest.failf "seed %d: squeezed invalid: %s" seed
+                (String.concat "; " es));
             let o1 = run_prog p and o2 = run_prog q in
             if o1.Vm.exit_code <> o2.Vm.exit_code || o1.Vm.output <> o2.Vm.output then
               Alcotest.failf "seed %d: behaviour diverged (exit %d vs %d)" seed

@@ -44,7 +44,7 @@ let unit_tests =
         Alcotest.(check int) "table gone" 0 (Array.length f.Prog.Func.tables);
         (match Prog.validate result.Unswitch.prog with
         | Ok () -> ()
-        | Error e -> Alcotest.fail e);
+        | Error es -> Alcotest.fail (String.concat "; " es));
         let after = run result.Unswitch.prog "" in
         Alcotest.(check string) "output" before.Vm.output after.Vm.output;
         Alcotest.(check int) "exit" before.Vm.exit_code after.Vm.exit_code);

@@ -13,7 +13,7 @@ let per_workload_tests (wl : Workload.t) =
         let p = Workload.compile wl in
         match Prog.validate p with
         | Ok () -> ()
-        | Error e -> Alcotest.fail e);
+        | Error es -> Alcotest.fail (String.concat "; " es));
     Alcotest.test_case (wl.Workload.name ^ " runs both inputs") `Slow (fun () ->
         let p = Workload.compile wl in
         let o1 = run_prog p (Workload.profiling_input wl) in
