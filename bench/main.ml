@@ -92,9 +92,8 @@ let vm_throughput () =
   in
   let vm_img = Layout.emit vm_prog in
   let vm = Vm.of_image ~fuel:100_000_000 vm_img ~input:"" in
-  let t0 = Unix.gettimeofday () in
-  let outcome = Vm.run vm in
-  let dt = Unix.gettimeofday () -. t0 in
+  let outcome, cost = Obs.measure (fun () -> Vm.run vm) in
+  let dt = cost.Obs.elapsed_s in
   let rate = float_of_int outcome.Vm.icount /. dt /. 1e6 in
   Experiments.record_metric "vm_minstr_per_s" (Report.Json.Float rate);
   Printf.sprintf "%-40s %8.1f M instr/s (%d instructions in %.2fs)\n"
@@ -205,7 +204,7 @@ let () =
     | _ :: _ -> ids
     | [] -> List.map fst Experiments.all @ [ "micro" ]
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   (* The workloads' inputs are generated lazily and never reset, so they
      are forced here, outside every timed sample. *)
   List.iter
@@ -215,7 +214,7 @@ let () =
           Workload.timing_input wl,
           Workload.drift_input wl ))
     Workloads.all;
-  let setup = Unix.gettimeofday () -. t0 in
+  let setup = Obs.Clock.now () -. t0 in
   Printf.printf "setup: workload inputs in %.2fs\n%!" setup;
   let unknown = ref [] in
   let recorded = ref [] in
@@ -243,7 +242,7 @@ let () =
       | Some f ->
         hr id;
         run id f;
-        Printf.printf "[%s done at %.1fs]\n%!" id (Unix.gettimeofday () -. t0)
+        Printf.printf "[%s done at %.1fs]\n%!" id (Obs.Clock.now () -. t0)
       | None ->
         if id = "micro" then begin
           hr "micro (bechamel)";
@@ -251,7 +250,7 @@ let () =
         end
         else unknown := id :: !unknown)
     requested;
-  let total = Unix.gettimeofday () -. t0 in
+  let total = Obs.Clock.now () -. t0 in
   Printf.printf "\ntotal time: %.1fs\n" total;
   (* A representative runtime-stats sample (first workload, θ=0.01),
      served from the memo when the last experiment built it.  Its scalar counters are

@@ -50,14 +50,8 @@ let write_trace path tr =
   if Filename.check_suffix path ".jsonl" then
     write_file path (Obs.Trace.to_jsonl tr)
   else write_json path (Obs.Trace.to_chrome tr);
-  let per_shard =
-    Array.to_list (Obs.Trace.shard_stats tr)
-    |> List.mapi (fun sid (e, d) -> Printf.sprintf "%d:%d/%d" sid e d)
-  in
-  Printf.printf "trace: %d events (%d dropped) on %d shards [%s] -> %s\n"
-    (Obs.Trace.emitted tr) (Obs.Trace.dropped tr) (Obs.Trace.shard_count tr)
-    (String.concat " " per_shard)
-    path
+  Printf.printf "trace: %d events (%d dropped) -> %s\n" (Obs.Trace.emitted tr)
+    (Obs.Trace.dropped tr) path
 
 (* Resolve a program argument: workload name, MiniC file, or assembly file. *)
 let load_program arg =
@@ -491,7 +485,7 @@ type image = {
 (* Squash the program under [options] (θ and K from [args]), profiling it
    on the resolved input unless [--profile] names a saved profile. *)
 let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
-    ?trace ?obs args =
+    ?obs args =
   let prog, wl = prepare args.prog_name args.no_squeeze in
   let input = resolve_input args.inputs wl in
   let profile =
@@ -503,7 +497,7 @@ let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
     { options with Squash.theta = args.theta; k_bytes = args.k_bytes }
   in
   let result =
-    try Squash.run ~options ?check_each ?lint ?prove ?trace ?obs prog profile
+    try Squash.run ~options ?check_each ?lint ?prove ?obs prog profile
     with Pipeline.Check_failed { pass; errors } ->
       Printf.eprintf "squashc: pass %S broke an invariant:\n" pass;
       List.iter (fun e -> Printf.eprintf "squashc:   %s\n" e) errors;
@@ -551,8 +545,8 @@ let squash_cmd =
     Arg.(
       value & flag
       & info [ "trace-passes" ]
-          ~doc:"Print each pipeline pass as it runs (timing, size deltas, \
-                summary), then the per-pass statistics table.")
+          ~doc:"Print the per-pass statistics table (timing, size deltas, \
+                allocation, summary).")
   in
   let check_each =
     Arg.(
@@ -610,10 +604,6 @@ let squash_cmd =
         regions_strategy = (if linear_regions then `Linear else `Dfs);
       }
     in
-    let trace =
-      if trace_passes then Some (fun line -> Printf.eprintf "squashc: %s\n%!" line)
-      else None
-    in
     let metrics = Obs.Metrics.create () in
     let obs =
       Obs.create
@@ -621,7 +611,7 @@ let squash_cmd =
         ~metrics ()
     in
     let img =
-      squash_image ~options ~check_each ~lint:true ~prove ?trace ~obs args
+      squash_image ~options ~check_each ~lint:true ~prove ~obs args
     in
     let result = img.result in
     Format.printf "%a@." Squash.pp_summary result;
@@ -847,24 +837,14 @@ let grid_cmd =
       value
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Trace the grid run into sharded per-domain sinks (engine \
-                job spans, pipeline pass spans) and write the deterministic \
-                merged export here: one event per line for a $(b,.jsonl) \
-                file, Chrome trace-event JSON otherwise.")
+          ~doc:"Trace the grid run's engine jobs (submissions and job \
+                spans) and write the export here: one event per line for a \
+                $(b,.jsonl) file, Chrome trace-event JSON otherwise.")
   in
   let run names thetas ks timing cache_slots jobs json_out csv_out stats_flag
       trace_out =
     let wls = find_workloads names in
-    let obs =
-      match trace_out with
-      | None -> None
-      | Some _ ->
-        (* One shard per worker domain plus the submitting main domain, so
-           the sink's fast path stays uncontended whatever the host's core
-           count says. *)
-        let pool = (match jobs with Some j -> j | None -> Exp_grid.jobs ()) in
-        Some (Obs.full ~shards:(pool + 1) ())
-    in
+    let obs = Option.map (fun _ -> Obs.full ()) trace_out in
     Exp_grid.set_obs obs;
     (* Workload-innermost order so the first [jobs] cells touch distinct
        workloads and the prepare stages parallelise. *)
@@ -1183,9 +1163,8 @@ let prove_cmd =
             let sq = (Exp_data.squash_result prepared options).Squash.squashed in
             List.iter
               (fun slots ->
-                let t0 = Unix.gettimeofday () in
-                let r = Prove.run ~slots sq in
-                let dt = Unix.gettimeofday () -. t0 in
+                let r, cost = Obs.measure (fun () -> Prove.run ~slots sq) in
+                let dt = cost.Obs.elapsed_s in
                 if r.Prove.failures <> [] then any_failures := true;
                 Report.Table.add_row t
                   [ wl.Workload.name; Printf.sprintf "%g" theta;

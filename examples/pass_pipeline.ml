@@ -1,5 +1,5 @@
 (* Pass pipeline demo: drive the squash pipeline pass by pass instead of
-   through Squash.run — trace every stage, validate the IR after each one,
+   through Squash.run — time every stage, validate the IR after each one,
    emit the machine-readable stats, and drop a pass and gate the image
    through the options and the gate passes.
 
@@ -46,15 +46,14 @@ let () =
   let prog = fst (Squeeze.run (Minic.compile_exn source)) in
   let profile, _ = Profile.collect prog ~input:"\004" in
 
-  (* 1. The standard pipeline, traced, with per-pass validation: exactly
-     what `squashc squash --trace-passes --check-each` runs. *)
-  print_endline "=== standard pipeline (traced, validated after every pass) ===";
+  (* 1. The standard pipeline with per-pass validation: exactly what
+     `squashc squash --trace-passes --check-each` runs and prints. *)
+  print_endline "=== standard pipeline (validated after every pass) ===";
   let state = Pass.init prog profile in
   let state, stats =
-    Pipeline.execute ~check_each:true ~trace:print_endline
+    Pipeline.execute ~check_each:true
       ~passes:(Pipeline.of_options Pass.default_options) state
   in
-  print_newline ();
   print_string (Pipeline.render_stats stats);
 
   (* 2. The same stats, machine-readable — what --stats-json writes. *)

@@ -72,13 +72,11 @@ type t = {
 
 type stats = {
   pass_name : string;
-  elapsed_s : float;
+  cost : Obs.cost;
   instrs_before : int;
   instrs_after : int;
   words_before : int;
   words_after : int;
-  alloc_words : int;
-  major_collections : int;
   note : string;
 }
 

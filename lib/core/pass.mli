@@ -76,18 +76,12 @@ type t = {
 
 type stats = {
   pass_name : string;
-  elapsed_s : float;  (** Monotonic wall-clock seconds spent in
-                          [transform]. *)
+  cost : Obs.cost;  (** Time and allocation of [transform]. *)
   instrs_before : int;  (** [Prog.instr_count] of the working program. *)
   instrs_after : int;
   words_before : int;  (** {!footprint} — program text words, or the full
                            squashed footprint once the rewrite ran. *)
   words_after : int;
-  alloc_words : int;
-      (** Approximate heap words allocated by [transform]
-          ([Gc.quick_stat] delta on the executing domain). *)
-  major_collections : int;
-      (** Major GC cycles that completed while [transform] ran. *)
   note : string;
 }
 

@@ -308,41 +308,23 @@ let check_state (st : Pass.state) =
   in
   match ir @ stale with [] -> Ok () | es -> Error es
 
-let execute ?(check_each = false) ?trace ?obs ~passes st =
-  let emit line = match trace with Some f -> f line | None -> () in
+let execute ?(check_each = false) ?obs ~passes st =
   let st, rev_stats =
     List.fold_left
       (fun (st, acc) (p : Pass.t) ->
         let instrs_before = Prog.instr_count st.Pass.prog in
         let words_before = Pass.footprint st in
-        let t0 = Obs.Clock.now () in
-        let g0 = Gc.quick_stat () in
+        let st', cost = Obs.measure (fun () -> p.Pass.transform st) in
         (match obs with
         | None -> ()
         | Some o ->
+          let { Obs.start; elapsed_s; alloc_words; _ } = cost in
           Obs.event o
-            { ts = Obs.Event.Mono t0;
-              payload = Obs.Event.Pass_begin { name = p.Pass.name } });
-        let st' = p.Pass.transform st in
-        let elapsed_s = Obs.Clock.now () -. t0 in
-        let g1 = Gc.quick_stat () in
-        let alloc_words =
-          int_of_float
-            (Float.max 0.0
-               (g1.Gc.minor_words +. g1.Gc.major_words -. g1.Gc.promoted_words
-               -. (g0.Gc.minor_words +. g0.Gc.major_words
-                  -. g0.Gc.promoted_words)))
-        in
-        let major_collections = g1.Gc.major_collections - g0.Gc.major_collections in
-        (match obs with
-        | None -> ()
-        | Some o ->
-          Obs.event o
-            { ts = Obs.Event.Mono (t0 +. elapsed_s);
+            { ts = Obs.Event.Mono (start +. elapsed_s);
               payload = Obs.Event.Pass_end { name = p.Pass.name; elapsed_s } };
           Obs.incr o "pipeline.passes_run";
           Obs.observe o "pipeline.pass_alloc_words" alloc_words;
-          Obs.max_gauge o "gc.top_heap_words" g1.Gc.top_heap_words);
+          Obs.max_gauge o "gc.top_heap_words" (Gc.quick_stat ()).Gc.top_heap_words);
         (if check_each then
            match check_state st' with
            | Ok () -> ()
@@ -351,29 +333,22 @@ let execute ?(check_each = false) ?trace ?obs ~passes st =
         let s =
           {
             Pass.pass_name = p.Pass.name;
-            elapsed_s;
+            cost;
             instrs_before;
             instrs_after = Prog.instr_count st'.Pass.prog;
             words_before;
             words_after = Pass.footprint st';
-            alloc_words;
-            major_collections;
             note = p.Pass.note st';
           }
         in
-        emit
-          (Printf.sprintf "pass %-12s %7.2f ms  %6d instrs (%+d)  %6d words (%+d)  %s"
-             s.Pass.pass_name (1000.0 *. s.Pass.elapsed_s) s.Pass.instrs_after
-             (s.Pass.instrs_after - s.Pass.instrs_before)
-             s.Pass.words_after
-             (s.Pass.words_after - s.Pass.words_before)
-             s.Pass.note);
         (st', s :: acc))
       (st, []) passes
   in
   let stats = List.rev rev_stats in
   let total_s =
-    List.fold_left (fun acc (s : Pass.stats) -> acc +. s.Pass.elapsed_s) 0.0 stats
+    List.fold_left
+      (fun acc (s : Pass.stats) -> acc +. s.Pass.cost.Obs.elapsed_s)
+      0.0 stats
   in
   (st, { passes = stats; total_s })
 
@@ -391,18 +366,19 @@ let render_stats rs =
   List.iter
     (fun (s : Pass.stats) ->
       let share =
-        if rs.total_s > 0.0 then s.Pass.elapsed_s /. rs.total_s else 0.0
+        if rs.total_s > 0.0 then s.Pass.cost.Obs.elapsed_s /. rs.total_s
+        else 0.0
       in
       Report.Table.add_row t
         [ s.Pass.pass_name;
-          Report.Table.cell_float ~decimals:2 (1000.0 *. s.Pass.elapsed_s);
+          Report.Table.cell_float ~decimals:2 (1000.0 *. s.Pass.cost.Obs.elapsed_s);
           Report.Table.cell_percent ~decimals:1 share;
           string_of_int s.Pass.instrs_after;
           Printf.sprintf "%+d" (s.Pass.instrs_after - s.Pass.instrs_before);
           string_of_int s.Pass.words_after;
           Printf.sprintf "%+d" (s.Pass.words_after - s.Pass.words_before);
           Report.Table.cell_float ~decimals:1
-            (float_of_int s.Pass.alloc_words /. 1000.0);
+            (float_of_int s.Pass.cost.Obs.alloc_words /. 1000.0);
           s.Pass.note ])
     rs.passes;
   Report.Table.add_separator t;
@@ -421,12 +397,12 @@ let stats_json rs =
              (fun (s : Pass.stats) ->
                Obj
                  [ ("name", String s.Pass.pass_name);
-                   ("elapsed_s", Float s.Pass.elapsed_s);
+                   ("elapsed_s", Float s.Pass.cost.Obs.elapsed_s);
                    ("instrs_before", Int s.Pass.instrs_before);
                    ("instrs_after", Int s.Pass.instrs_after);
                    ("words_before", Int s.Pass.words_before);
                    ("words_after", Int s.Pass.words_after);
-                   ("alloc_words", Int s.Pass.alloc_words);
-                   ("major_collections", Int s.Pass.major_collections);
+                   ("alloc_words", Int s.Pass.cost.Obs.alloc_words);
+                   ("major_collections", Int s.Pass.cost.Obs.major_collections);
                    ("note", String s.Pass.note) ])
              rs.passes) ) ]

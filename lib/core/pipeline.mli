@@ -60,7 +60,6 @@ type run_stats = {
 
 val execute :
   ?check_each:bool ->
-  ?trace:(string -> unit) ->
   ?obs:Obs.t ->
   passes:Pass.t list ->
   Pass.state ->
@@ -71,9 +70,10 @@ val execute :
     With [~check_each:true], {!Prog.validate} runs after every pass,
     together with a check that every block the state's profile names still
     exists; a failure raises {!Check_failed} naming the offending pass.
-    [trace] receives one line per pass as it completes.  [obs] receives
-    {!Obs.Event.Pass_begin}/{!Obs.Event.Pass_end} span events (wall clock)
-    and a ["pipeline.passes_run"] counter bump per pass. *)
+    Each pass is measured by {!Obs.measure}.  [obs] receives one
+    {!Obs.Event.Pass_end} span event per pass (monotonic clock), a
+    ["pipeline.passes_run"] counter bump, a ["pipeline.pass_alloc_words"]
+    sample and the ["gc.top_heap_words"] max-gauge. *)
 
 val render_stats : run_stats -> string
 (** An aligned text table of the per-pass statistics. *)
@@ -81,4 +81,5 @@ val render_stats : run_stats -> string
 val stats_json : run_stats -> Report.Json.t
 (** Machine-readable form: [{"total_s": …, "passes": [{"name": …,
     "elapsed_s": …, "instrs_before": …, "instrs_after": …,
-    "words_before": …, "words_after": …, "note": …}, …]}]. *)
+    "words_before": …, "words_after": …, "alloc_words": …,
+    "major_collections": …, "note": …}, …]}]. *)

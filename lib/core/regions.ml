@@ -714,7 +714,6 @@ let entry_count_if_region (p : Prog.t) blocks =
   List.length
     (List.filter (fun (fname, i) -> needs_entry_stub facts ~member fname i) blocks)
 
-let region_blocks t id = t.regions.(id).blocks
 let block_region t f b = Hashtbl.find_opt t.region_of (f, b)
 let is_entry t f b = Hashtbl.mem t.entries (f, b)
 

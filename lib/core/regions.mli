@@ -65,7 +65,6 @@ val entry_count_if_region : Prog.t -> (string * int) list -> int
     both when pricing a tentative region and when computing the final entry
     set. *)
 
-val region_blocks : t -> int -> (string * int) list
 val block_region : t -> string -> int -> int option
 val is_entry : t -> string -> int -> bool
 

@@ -135,12 +135,6 @@ let decompress st vm rid ~slot =
   let bit_end =
     if rid + 1 < Array.length offsets then Some offsets.(rid + 1) else None
   in
-  (match st.obs with
-  | None -> ()
-  | Some o ->
-    Obs.event o
-      { ts = Obs.Event.Cycles (Vm.cycles vm);
-        payload = Obs.Event.Decomp_begin { region = rid } });
   let instrs, { Compress.bits; steps } =
     Compress.decode_region sq.Rewrite.codes sq.Rewrite.blob
       ~bit_offset:offsets.(rid) ?bit_end ()

@@ -18,12 +18,7 @@ let error_json e =
       ("kind", Report.Json.String (kind_to_string e.kind));
       ("message", Report.Json.String e.message) ]
 
-type job_stat = {
-  label : string;
-  wall_s : float;
-  worker : int;
-  alloc_words : int;
-}
+type job_stat = { label : string; cost : Obs.cost; worker : int }
 
 type stats = {
   pool : int;
@@ -51,9 +46,9 @@ let stats_json s =
             (fun j ->
               Report.Json.Obj
                 [ ("label", Report.Json.String j.label);
-                  ("wall_seconds", Report.Json.Float j.wall_s);
+                  ("wall_seconds", Report.Json.Float j.cost.Obs.elapsed_s);
                   ("worker", Report.Json.Int j.worker);
-                  ("alloc_words", Report.Json.Int j.alloc_words) ])
+                  ("alloc_words", Report.Json.Int j.cost.Obs.alloc_words) ])
             s.job_stats)) ]
 
 let render_stats s =
@@ -72,7 +67,7 @@ let render_stats s =
     (fun j ->
       Buffer.add_string b
         (Printf.sprintf "  %-*s %8.1f ms  worker %d\n" width j.label
-           (1000.0 *. j.wall_s) j.worker))
+           (1000.0 *. j.cost.Obs.elapsed_s) j.worker))
     s.job_stats;
   Buffer.contents b
 
@@ -142,58 +137,40 @@ let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
   let results =
     Array.make n (Error { label = "unset"; kind = `Exception; message = "job never ran" })
   in
-  let times = Array.make n 0.0 in
-  let workers = Array.make n 0 in
-  let allocs = Array.make n 0 in
+  let job_stats =
+    let no_cost =
+      { Obs.start = 0.0; elapsed_s = 0.0; alloc_words = 0; major_collections = 0 }
+    in
+    Array.init n (fun i -> { label = label i; cost = no_cost; worker = 0 })
+  in
   let submitted = Array.make n 0.0 in
   let t0 = Obs.Clock.now () in
   let run_one ~worker i =
-    let start = Obs.Clock.now () in
-    let g0 = Gc.quick_stat () in
-    (match obs with
-    | None -> ()
-    | Some o ->
-      Obs.event o
-        { ts = Obs.Event.Mono start;
-          payload = Obs.Event.Job_start { label = label i; worker } };
-      (match submitted.(i) with
-      | s when s > 0.0 ->
-        Obs.observe o "engine.queue_wait_us"
-          (int_of_float (1e6 *. Float.max 0.0 (start -. s)))
-      | _ -> ()));
-    (results.(i) <-
-       (match thunks.(i) () with
-       | v -> Ok v
-       | exception e ->
-         let kind, message = classify e in
-         Error { label = label i; kind; message }));
-    let stop = Obs.Clock.now () in
-    let g1 = Gc.quick_stat () in
-    (* Approximate words allocated by the job on this domain: minor plus
-       promoted-free major allocation.  Other domains' major allocations
-       can leak into the major counter, so this is attribution, not an
-       exact account. *)
-    let alloc_words =
-      int_of_float
-        (Float.max 0.0
-           (g1.Gc.minor_words +. g1.Gc.major_words -. g1.Gc.promoted_words
-           -. (g0.Gc.minor_words +. g0.Gc.major_words -. g0.Gc.promoted_words)))
+    let result, cost =
+      Obs.measure (fun () ->
+          match thunks.(i) () with
+          | v -> Ok v
+          | exception e ->
+            let kind, message = classify e in
+            Error { label = label i; kind; message })
     in
-    times.(i) <- stop -. start;
-    workers.(i) <- worker;
-    allocs.(i) <- alloc_words;
+    results.(i) <- result;
+    job_stats.(i) <- { (job_stats.(i)) with cost; worker };
     match obs with
     | None -> ()
     | Some o ->
-      let ok = match results.(i) with Ok _ -> true | Error _ -> false in
+      let { Obs.start; elapsed_s; alloc_words; _ } = cost in
+      let ok = Result.is_ok result in
       Obs.event o
-        { ts = Obs.Event.Mono stop;
+        { ts = Obs.Event.Mono (start +. elapsed_s);
           payload =
-            Obs.Event.Job_finish { label = label i; worker; ok; wall_s = times.(i) } };
+            Obs.Event.Job_finish { label = label i; worker; ok; wall_s = elapsed_s } };
       Obs.incr o (if ok then "engine.jobs_succeeded" else "engine.jobs_failed");
-      Obs.observe o "engine.job_wall_us" (int_of_float (1e6 *. times.(i)));
+      Obs.observe o "engine.queue_wait_us"
+        (int_of_float (1e6 *. Float.max 0.0 (start -. submitted.(i))));
+      Obs.observe o "engine.job_wall_us" (int_of_float (1e6 *. elapsed_s));
       Obs.observe o "engine.job_alloc_words" alloc_words;
-      Obs.max_gauge o "gc.top_heap_words" g1.Gc.top_heap_words
+      Obs.max_gauge o "gc.top_heap_words" (Gc.quick_stat ()).Gc.top_heap_words
   in
   let submit i =
     submitted.(i) <- Obs.Clock.now ();
@@ -234,17 +211,14 @@ let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
     Array.iter Domain.join spawned
   end;
   let wall_s = Obs.Clock.now () -. t0 in
-  let busy_s = Array.fold_left ( +. ) 0.0 times in
+  let busy_s =
+    Array.fold_left (fun acc j -> acc +. j.cost.Obs.elapsed_s) 0.0 job_stats
+  in
   let failed =
     Array.fold_left
       (fun acc -> function Error _ -> acc + 1 | Ok _ -> acc)
       0 results
   in
-  let job_stats =
-    List.init n (fun i ->
-        { label = label i; wall_s = times.(i); worker = workers.(i);
-          alloc_words = allocs.(i) })
-  in
   ( results,
     { pool; submitted = n; succeeded = n - failed; failed; wall_s; busy_s;
-      max_queue_depth = qu.max_depth; job_stats } )
+      max_queue_depth = qu.max_depth; job_stats = Array.to_list job_stats } )

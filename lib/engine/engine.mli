@@ -14,7 +14,8 @@
     domain, with no spawning: the sequential path the determinism
     regression compares against.
 
-    Observability: per-job wall clock and worker assignment, queue-depth
+    Observability: per-job time and allocation ({!Obs.measure}) and
+    worker assignment, queue-depth
     high-water mark, and success/failure counts, renderable as a table
     ({!render_stats}) or as JSON ({!stats_json}). *)
 
@@ -33,13 +34,11 @@ val error_json : job_error -> Report.Json.t
 
 type job_stat = {
   label : string;
-  wall_s : float;  (** Wall clock (monotonic) spent inside the job. *)
+  cost : Obs.cost;
+      (** {!Obs.measure} of the job on the domain that ran it.  Its
+          allocation is attribution, not an exact per-job account: other
+          domains' promotions can move the major counters. *)
   worker : int;  (** Index of the pool worker that ran it (0 = caller). *)
-  alloc_words : int;
-      (** Approximate words allocated while the job ran on its domain
-          ([Gc.quick_stat] delta: minor plus promoted-free major).
-          Attribution, not an exact per-job account — concurrent domains
-          share the major counters. *)
 }
 
 type stats = {
@@ -73,9 +72,8 @@ val run :
 (** Evaluate every thunk; the result array is in submission order.
     [classify] turns an escaped exception into a structured error (default:
     [`Exception] with [Printexc.to_string]); [label] names job [i] for
-    error messages and per-job stats.  [obs] receives
-    submit/start/finish job events (monotonic host clock; each worker
-    domain emits into its own trace shard, so tracing does not serialise
-    the pool), the [engine.jobs_*] counters, the [engine.job_wall_us] /
-    [engine.job_alloc_words] / [engine.queue_wait_us] histograms and the
-    [gc.top_heap_words] max-gauge. *)
+    error messages and per-job stats.  [obs] receives submit and finish
+    job events (monotonic host clock), the [engine.jobs_*] counters, the
+    [engine.job_wall_us] / [engine.job_alloc_words] /
+    [engine.queue_wait_us] histograms and the [gc.top_heap_words]
+    max-gauge. *)

@@ -18,9 +18,8 @@ let sample ~repeat f =
   let run () =
     metrics := [];
     Exp_data.reset ();
-    let start = Unix.gettimeofday () in
-    let report = f () in
-    (report, Unix.gettimeofday () -. start, List.rev !metrics)
+    let report, cost = Obs.measure f in
+    (report, cost.Obs.elapsed_s, List.rev !metrics)
   in
   let report, first, metrics = run () in
   let rest = List.init (repeat - 1) (fun _ -> let _, dt, _ = run () in dt) in
@@ -621,9 +620,10 @@ let passes () =
             | None -> "-"
             | Some s ->
               Hashtbl.replace sums name
-                (s.Pass.elapsed_s
+                (s.Pass.cost.Obs.elapsed_s
                 +. Option.value ~default:0.0 (Hashtbl.find_opt sums name));
-              Report.Table.cell_float ~decimals:2 (1000.0 *. s.Pass.elapsed_s))
+              Report.Table.cell_float ~decimals:2
+                (1000.0 *. s.Pass.cost.Obs.elapsed_s))
           pass_names
       in
       totals := stats.Pipeline.total_s :: !totals;
@@ -681,9 +681,10 @@ let passes () =
         }
       in
       let time packer =
-        let t0 = Unix.gettimeofday () in
-        let t = Regions.build ~packer prog ~compressible ~params in
-        (Unix.gettimeofday () -. t0, t)
+        let t, cost =
+          Obs.measure (fun () -> Regions.build ~packer prog ~compressible ~params)
+        in
+        (cost.Obs.elapsed_s, t)
       in
       let d_rescan, t_rescan = time `Rescan in
       let d_inc, t_inc = time `Incremental in

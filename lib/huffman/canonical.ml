@@ -70,8 +70,6 @@ let of_lengths lengths =
 let of_freqs freqs = of_lengths (Huffman.code_lengths freqs)
 let symbol_count t = Array.length t.d
 let max_length t = t.max_len
-let table_width t = t.tab_bits
-let counts t = Array.copy t.n
 let symbols t = Array.copy t.d
 let codeword t s = Hashtbl.find_opt t.enc s
 

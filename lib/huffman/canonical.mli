@@ -36,14 +36,6 @@ val of_freqs : (int * int) list -> t
 val symbol_count : t -> int
 val max_length : t -> int
 
-val table_width : t -> int
-(** Probe width of the decode table in bits:
-    [min (max_length t) 9]; 0 only for an empty code. *)
-
-val counts : t -> int array
-(** [N]: an array of [max_length t + 1] entries where index [i] holds the
-    number of codewords of length [i] (index 0 is always 0). *)
-
 val symbols : t -> int array
 (** [D]: symbols in codeword order. *)
 

@@ -11,38 +11,61 @@ module Clock = struct
     fun () -> Lazy.force off
 end
 
+type cost = {
+  start : float;
+  elapsed_s : float;
+  alloc_words : int;
+  major_collections : int;
+}
+
+(* Words allocated so far by this domain.  On OCaml 5.1 the minor count in
+   both [Gc.quick_stat] and [Gc.counters] advances only at a minor
+   collection, so it reads what was allocated up to the last one;
+   [Gc.minor_words ()] adds the live part of the minor heap and is exact.
+   [Gc.counters]' major and promoted counts are current ([quick_stat]'s
+   major count is not): their difference is what went straight to the
+   major heap. *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let measure f =
+  let majors0 = (Gc.quick_stat ()).Gc.major_collections in
+  let a0 = allocated () in
+  let start = Clock.now () in
+  let v = f () in
+  let elapsed_s = Clock.now () -. start in
+  let alloc_words = int_of_float (allocated () -. a0) in
+  ( v,
+    { start; elapsed_s; alloc_words;
+      major_collections = (Gc.quick_stat ()).Gc.major_collections - majors0 } )
+
 module Event = struct
   type clock = Cycles of int | Mono of float
 
   type payload =
-    | Decomp_begin of { region : int }
     | Decomp_end of { region : int; bits : int; words : int; cycles : int }
     | Buffer_enter of { region : int; offset : int; pc : int }
     | Stub_create of { region : int; ret : int; live : int }
     | Stub_reuse of { region : int; ret : int; live : int }
     | Stub_free of { region : int; ret : int; live : int }
     | Cache_evict of { region : int; slot : int }
-    | Pass_begin of { name : string }
     | Pass_end of { name : string; elapsed_s : float }
     | Job_submit of { label : string }
-    | Job_start of { label : string; worker : int }
     | Job_finish of { label : string; worker : int; ok : bool; wall_s : float }
 
   type t = { ts : clock; payload : payload }
 
   let name e =
     match e.payload with
-    | Decomp_begin _ -> "decomp_begin"
     | Decomp_end _ -> "decomp_end"
     | Buffer_enter _ -> "buffer_enter"
     | Stub_create _ -> "stub_create"
     | Stub_reuse _ -> "stub_reuse"
     | Stub_free _ -> "stub_free"
     | Cache_evict _ -> "cache_evict"
-    | Pass_begin _ -> "pass_begin"
     | Pass_end _ -> "pass_end"
     | Job_submit _ -> "job_submit"
-    | Job_start _ -> "job_start"
     | Job_finish _ -> "job_finish"
 
   (* The payload fields as JSON key/value pairs (shared by the JSONL
@@ -50,7 +73,6 @@ module Event = struct
   let fields e =
     let open Report.Json in
     match e.payload with
-    | Decomp_begin { region } -> [ ("region", Int region) ]
     | Decomp_end { region; bits; words; cycles } ->
       [ ("region", Int region); ("bits", Int bits); ("words", Int words);
         ("cycles", Int cycles) ]
@@ -62,12 +84,9 @@ module Event = struct
       [ ("region", Int region); ("ret", Int ret); ("live", Int live) ]
     | Cache_evict { region; slot } ->
       [ ("region", Int region); ("slot", Int slot) ]
-    | Pass_begin { name } -> [ ("pass", String name) ]
     | Pass_end { name; elapsed_s } ->
       [ ("pass", String name); ("elapsed_s", Float elapsed_s) ]
     | Job_submit { label } -> [ ("job", String label) ]
-    | Job_start { label; worker } ->
-      [ ("job", String label); ("worker", Int worker) ]
     | Job_finish { label; worker; ok; wall_s } ->
       [ ("job", String label); ("worker", Int worker); ("ok", Bool ok);
         ("wall_s", Float wall_s) ]
@@ -84,135 +103,91 @@ module Event = struct
 end
 
 module Trace = struct
-  (* v2: sharded rings, the Mono clock (was Wall), per-shard accounting
-     and the epoch offset in export headers. *)
-  let schema_version = 2
+  (* v3: one ring, end events only. *)
+  let schema_version = 3
 
-  (* One bounded ring per shard.  [next] counts every emission the shard
-     ever saw; slot [i mod capacity] holds emission [i], so once
-     [next > capacity] the oldest [next - capacity] events have been
-     overwritten (= dropped).  Emitting locks only the shard's own mutex:
-     with one shard per domain the fast path is uncontended, which is what
-     lets a JOBS=32 engine run trace without serialising on the sink. *)
-  type shard = {
+  (* One bounded ring behind one mutex.  [next] counts every emission;
+     slot [i mod capacity] holds emission [i], so once [next > capacity]
+     the oldest [next - capacity] events have been overwritten
+     (= dropped). *)
+  type t = {
     buf : Event.t array;
     capacity : int;
     mutable next : int;
     m : Mutex.t;
   }
 
-  type t = { shards : shard array }
-
   let dummy =
-    { Event.ts = Event.Cycles 0; payload = Event.Decomp_begin { region = -1 } }
+    { Event.ts = Event.Cycles 0;
+      payload = Event.Cache_evict { region = -1; slot = -1 } }
 
-  let create ?(capacity = 65536) ?(shards = 1) () =
+  let create ?(capacity = 65536) () =
     if capacity < 1 then invalid_arg "Obs.Trace.create: capacity < 1";
-    if shards < 1 then invalid_arg "Obs.Trace.create: shards < 1";
-    (* [capacity] is the total event budget, split across the shards. *)
-    let per_shard = max 1 (capacity / shards) in
-    { shards =
-        Array.init shards (fun _ ->
-            { buf = Array.make per_shard dummy; capacity = per_shard; next = 0;
-              m = Mutex.create () }) }
+    { buf = Array.make capacity dummy; capacity; next = 0; m = Mutex.create () }
 
-  let shard_count t = Array.length t.shards
+  let emit t e =
+    Mutex.lock t.m;
+    t.buf.(t.next mod t.capacity) <- e;
+    t.next <- t.next + 1;
+    Mutex.unlock t.m
 
-  let emit_into t ~shard e =
-    let s = t.shards.(shard mod Array.length t.shards) in
-    Mutex.lock s.m;
-    s.buf.(s.next mod s.capacity) <- e;
-    s.next <- s.next + 1;
-    Mutex.unlock s.m
+  let emitted t = t.next
+  let dropped t = max 0 (t.next - t.capacity)
+  let length t = min t.next t.capacity
 
-  let emit t e = emit_into t ~shard:(Domain.self () :> int) e
-
-  let shard_emitted s = s.next
-  let shard_dropped s = max 0 (s.next - s.capacity)
-  let shard_length s = min s.next s.capacity
-
-  let shard_stats t =
-    Array.map (fun s -> (shard_emitted s, shard_dropped s)) t.shards
-
-  let emitted t =
-    Array.fold_left (fun acc s -> acc + shard_emitted s) 0 t.shards
-
-  let dropped t =
-    Array.fold_left (fun acc s -> acc + shard_dropped s) 0 t.shards
-
-  let length t =
-    Array.fold_left (fun acc s -> acc + shard_length s) 0 t.shards
-
-  (* The deterministic merge.  Each retained event is keyed by
-     (track, clock value, shard id, per-shard sequence number) and the
-     whole set is sorted by that key: the host (Mono) track first, then
-     the simulated (Cycles) track, each ordered by clock, with ties
-     broken by shard id and then emission order within the shard.  The
-     result is a pure function of the shard contents — any interleaving
-     of emissions that lands the same events in the same shards exports
-     byte-identically. *)
-  let keyed_events t =
-    let all = ref [] in
-    Array.iteri
-      (fun sid s ->
-        Mutex.lock s.m;
-        let n = shard_length s in
-        let first = s.next - n in
-        for i = n - 1 downto 0 do
+  (* Export order: the host (Mono) track first, then the simulated
+     (Cycles) track, each ordered by clock, ties kept in emission order.
+     Engine workers emit concurrently, so emission order alone would
+     depend on scheduling; the clock-first key makes every export with
+     distinct timestamps independent of it. *)
+  let events t =
+    Mutex.lock t.m;
+    let n = length t in
+    let first = t.next - n in
+    let keyed =
+      List.init n (fun i ->
           let seq = first + i in
-          let e = s.buf.(seq mod s.capacity) in
+          let e = t.buf.(seq mod t.capacity) in
           let track, clock =
             match e.Event.ts with
             | Event.Mono m -> (0, m)
             | Event.Cycles c -> (1, float_of_int c)
           in
-          all := ((track, clock, sid, seq), e) :: !all
-        done;
-        Mutex.unlock s.m)
-      t.shards;
-    List.sort (fun (ka, _) (kb, _) -> compare ka kb) !all
-
-  let events t = List.map snd (keyed_events t)
-
-  (* --- export headers ---------------------------------------------- *)
-
-  let shards_json t =
-    Report.Json.List
-      (Array.to_list
-         (Array.mapi
-            (fun sid s ->
-              Report.Json.Obj
-                [ ("shard", Report.Json.Int sid);
-                  ("emitted", Report.Json.Int (shard_emitted s));
-                  ("dropped", Report.Json.Int (shard_dropped s)) ])
-            t.shards))
+          ((track, clock, seq), e))
+    in
+    Mutex.unlock t.m;
+    List.map snd (List.sort (fun (ka, _) (kb, _) -> compare ka kb) keyed)
 
   let header_fields t =
     [ ("emitted", Report.Json.Int (emitted t));
       ("dropped", Report.Json.Int (dropped t));
-      ("shards", shards_json t);
       ("mono_epoch_offset", Report.Json.Float (Clock.epoch_offset ())) ]
 
   (* --- Chrome trace-event export ---------------------------------- *)
 
   (* Two clock domains become two Chrome "processes": pid 0 is the
      simulated machine (1 cycle rendered as 1 µs), pid 1 is the host
-     (monotonic seconds rebased to the earliest host event; add the
-     header's mono_epoch_offset to recover absolute wall time).  Spans
-     are synthesised from end events only, so a wrapped ring can never
-     emit a begin without its end. *)
+     (monotonic seconds rebased to the earliest host span start; add the
+     header's mono_epoch_offset to recover absolute wall time).  Every
+     span event is an end event carrying its own duration, so a wrapped
+     ring can never leave half a span. *)
   let sim_pid = 0
   let host_pid = 1
 
   let to_chrome t =
     let open Report.Json in
     let evs = events t in
+    (* The earliest host instant is a span's start, not an event's
+       timestamp: span events are stamped at their end. *)
     let mono_base =
       List.fold_left
         (fun acc (e : Event.t) ->
-          match e.Event.ts with
-          | Event.Mono m -> Float.min acc m
-          | Event.Cycles _ -> acc)
+          match (e.Event.ts, e.Event.payload) with
+          | Event.Mono m, Event.Pass_end { elapsed_s = d; _ }
+          | Event.Mono m, Event.Job_finish { wall_s = d; _ } ->
+            Float.min acc (m -. d)
+          | Event.Mono m, _ -> Float.min acc m
+          | Event.Cycles _, _ -> acc)
         Float.infinity evs
     in
     let mono_us m = 1e6 *. (m -. mono_base) in
@@ -234,52 +209,45 @@ module Trace = struct
         (Event.fields e)
     in
     let rows =
-      List.filter_map
+      List.map
         (fun (e : Event.t) ->
           match e.Event.payload with
-          | Event.Decomp_begin _ | Event.Pass_begin _ | Event.Job_start _ ->
-            (* Spans come from the matching end events. *)
-            None
           | Event.Decomp_end { region; cycles; _ } ->
             let start =
               match e.Event.ts with
               | Event.Cycles c -> float_of_int (c - cycles)
               | Event.Mono m -> mono_us m
             in
-            Some
-              (ev
-                 ~name:(Printf.sprintf "decompress r%d" region)
-                 ~cat:"runtime" ~ph:"X" ~ts:(Float start) ~pid:sim_pid ~tid:0
-                 ~extra:[ ("dur", Float (float_of_int cycles)) ]
-                 (Event.fields e))
+            ev ~name:(Printf.sprintf "decompress r%d" region)
+              ~cat:"runtime" ~ph:"X" ~ts:(Float start) ~pid:sim_pid ~tid:0
+              ~extra:[ ("dur", Float (float_of_int cycles)) ]
+              (Event.fields e)
           | Event.Buffer_enter _ | Event.Stub_create _ | Event.Stub_reuse _
           | Event.Stub_free _ | Event.Cache_evict _ ->
-            Some (instant ~cat:"runtime" e)
+            instant ~cat:"runtime" e
           | Event.Pass_end { name; elapsed_s } ->
             let end_us =
               match e.Event.ts with
               | Event.Mono m -> mono_us m
               | Event.Cycles c -> float_of_int c
             in
-            Some
-              (ev ~name:("pass " ^ name) ~cat:"pipeline" ~ph:"X"
-                 ~ts:(Float (end_us -. (1e6 *. elapsed_s)))
-                 ~pid:host_pid ~tid:0
-                 ~extra:[ ("dur", Float (1e6 *. elapsed_s)) ]
-                 (Event.fields e))
-          | Event.Job_submit _ -> Some (instant ~pid:host_pid ~cat:"engine" e)
+            ev ~name:("pass " ^ name) ~cat:"pipeline" ~ph:"X"
+              ~ts:(Float (end_us -. (1e6 *. elapsed_s)))
+              ~pid:host_pid ~tid:0
+              ~extra:[ ("dur", Float (1e6 *. elapsed_s)) ]
+              (Event.fields e)
+          | Event.Job_submit _ -> instant ~pid:host_pid ~cat:"engine" e
           | Event.Job_finish { label; worker; wall_s; _ } ->
             let end_us =
               match e.Event.ts with
               | Event.Mono m -> mono_us m
               | Event.Cycles c -> float_of_int c
             in
-            Some
-              (ev ~name:("job " ^ label) ~cat:"engine" ~ph:"X"
-                 ~ts:(Float (end_us -. (1e6 *. wall_s)))
-                 ~pid:host_pid ~tid:(worker + 1)
-                 ~extra:[ ("dur", Float (1e6 *. wall_s)) ]
-                 (Event.fields e)))
+            ev ~name:("job " ^ label) ~cat:"engine" ~ph:"X"
+              ~ts:(Float (end_us -. (1e6 *. wall_s)))
+              ~pid:host_pid ~tid:(worker + 1)
+              ~extra:[ ("dur", Float (1e6 *. wall_s)) ]
+              (Event.fields e))
         evs
     in
     let process_name pid name =
@@ -355,9 +323,6 @@ module Metrics = struct
     with_lock t (fun () ->
         let r = find_ref t.counters name in
         r := !r + by)
-
-  let set_gauge t name v =
-    with_lock t (fun () -> find_ref t.gauges name := v)
 
   let max_gauge t name v =
     with_lock t (fun () ->
@@ -489,13 +454,8 @@ type t = { trace : Trace.t option; metrics : Metrics.t option }
 
 let create ?trace ?metrics () = { trace; metrics }
 
-let full ?capacity ?shards () =
-  let shards =
-    match shards with
-    | Some s -> s
-    | None -> max 1 (Domain.recommended_domain_count ())
-  in
-  { trace = Some (Trace.create ?capacity ~shards ());
+let full ?capacity () =
+  { trace = Some (Trace.create ?capacity ());
     metrics = Some (Metrics.create ()) }
 
 let event t e = match t.trace with Some tr -> Trace.emit tr e | None -> ()
@@ -521,5 +481,4 @@ let snapshot_json t =
           Obj
             [ ("emitted", Int (Trace.emitted tr));
               ("dropped", Int (Trace.dropped tr));
-              ("shards", Trace.shards_json tr);
               ("events", List (List.map Event.to_json (Trace.events tr))) ] ) ]

@@ -5,25 +5,25 @@
     squash runtime, the pass pipeline and the experiment engine guards its
     emission behind a single branch on an optional {!t} sink.
 
-    {b Trace} is a set of bounded per-shard ring buffers of {!Event.t}
-    values.  Emission picks a shard by the emitting domain's id and locks
-    only that shard's mutex, so worker domains tracing concurrently do
-    not contend on one ring; a JOBS=32 engine run scales.  When a shard's
-    ring wraps, its oldest events are overwritten and counted as dropped
-    {e per shard} — a long run keeps its tail, which is what the
-    runtime-overhead analysis wants, and memory stays bounded.  At export
-    time the shards are merged deterministically: events sort by
-    (clock track, timestamp, shard id, per-shard emission order), so the
-    export is a pure function of the shard contents regardless of how
-    emissions interleaved.  Timestamps are heterogeneous by design: the
-    VM side stamps events in {e simulated cycles} (the clock the paper's
-    overhead model runs on), the pipeline and engine stamp in host
-    {e monotonic} seconds ({!Clock}).  Exporters render to the Chrome
+    {b Trace} is one bounded ring buffer of {!Event.t} values behind one
+    mutex.  When the ring wraps, its oldest events are overwritten and
+    counted as dropped — a long run keeps its tail, which is what the
+    runtime-overhead analysis wants, and memory stays bounded.  The ring
+    holds end events only: each span event carries its own duration, so
+    no consumer pairs begins with ends and a wrapped ring never holds half
+    a span.  Export sorts events by (clock track, timestamp, emission
+    order), so engine workers emitting concurrently cannot reorder an
+    export whose timestamps differ.  Timestamps are heterogeneous by
+    design: the VM side stamps events in {e simulated cycles} (the clock
+    the paper's overhead model runs on), the pipeline and engine stamp in
+    host {e monotonic} seconds ({!Clock}).  Exporters render to the Chrome
     trace-event JSON format (loadable in Perfetto / [chrome://tracing];
     simulated and host clocks become separate process tracks) and to
     JSONL (one event per line, with a header line carrying the schema
-    version, aggregate and per-shard drop accounting, and the monotonic
-    clock's epoch offset).
+    version, the drop accounting and the monotonic clock's epoch offset).
+
+    {b Measurement}: {!measure} is the one meter for a host span — its
+    start and duration on {!Clock}, and the words it allocated.
 
     {b Metrics} is a registry of named counters, gauges and log₂-bucketed
     histograms with p50/p95/p99 quantile estimates, snapshotting to
@@ -42,13 +42,28 @@ module Clock : sig
       export header. *)
 end
 
+type cost = {
+  start : float;  (** {!Clock.now} when the span began. *)
+  elapsed_s : float;  (** Monotonic seconds the span took. *)
+  alloc_words : int;
+      (** Heap words allocated by the calling domain while the span ran:
+          [Gc.minor_words ()] plus major minus promoted words from
+          [Gc.counters ()].  Not [Gc.counters]' minor count, which on
+          OCaml 5.1 stops at the last minor collection and so misses
+          whatever the span allocated since. *)
+  major_collections : int;  (** Major GC cycles completed meanwhile. *)
+}
+
+val measure : (unit -> 'a) -> 'a * cost
+(** [measure f] runs [f ()] and returns its result with its {!cost}.  An
+    exception from [f] propagates unmeasured. *)
+
 module Event : sig
   type clock =
     | Cycles of int  (** Simulated cycles (VM-side events). *)
     | Mono of float  (** Host monotonic seconds ({!Clock.now}). *)
 
   type payload =
-    | Decomp_begin of { region : int }
     | Decomp_end of { region : int; bits : int; words : int; cycles : int }
         (** [cycles] is the simulated cost charged for this decompression. *)
     | Buffer_enter of { region : int; offset : int; pc : int }
@@ -60,10 +75,8 @@ module Event : sig
     | Cache_evict of { region : int; slot : int }
         (** A resident region was evicted from a buffer cache slot to make
             room for another materialisation. *)
-    | Pass_begin of { name : string }
     | Pass_end of { name : string; elapsed_s : float }
     | Job_submit of { label : string }
-    | Job_start of { label : string; worker : int }
     | Job_finish of { label : string; worker : int; ok : bool; wall_s : float }
 
   type t = { ts : clock; payload : payload }
@@ -79,58 +92,39 @@ module Trace : sig
   type t
 
   val schema_version : int
-  (** 2: sharded rings, the monotonic host clock, per-shard drop
-      accounting in export headers. *)
+  (** 3: one ring and end events only (2 had a ring per domain and
+      begin events). *)
 
-  val create : ?capacity:int -> ?shards:int -> unit -> t
-  (** [capacity] (default 65536) is the {e total} event budget, split
-      evenly across [shards] rings (default 1; each ring holds at least
-      one event).  @raise Invalid_argument if either is [< 1]. *)
-
-  val shard_count : t -> int
+  val create : ?capacity:int -> unit -> t
+  (** A ring of [capacity] events (default 65536).
+      @raise Invalid_argument if [capacity < 1]. *)
 
   val emit : t -> Event.t -> unit
-  (** Append to the emitting domain's shard ([Domain.self () mod
-      shard_count]), overwriting that shard's oldest event once full.
-      Thread-safe; only the target shard's mutex is taken. *)
-
-  val emit_into : t -> shard:int -> Event.t -> unit
-  (** Append to an explicit shard (reduced mod [shard_count]).  Exists so
-      determinism tests can control shard placement exactly; production
-      call sites use {!emit}. *)
+  (** Append, overwriting the oldest event once full.  Thread-safe. *)
 
   val emitted : t -> int
-  (** Total events ever emitted across all shards (retained + dropped). *)
+  (** Total events ever emitted (retained + dropped). *)
 
   val dropped : t -> int
   val length : t -> int
 
-  val shard_stats : t -> (int * int) array
-  (** Per-shard [(emitted, dropped)], indexed by shard id. *)
-
   val events : t -> Event.t list
-  (** The deterministic merge of every shard's retained events: sorted by
-      clock track (host {!Event.Mono} first, then simulated
-      {!Event.Cycles}), then timestamp, then shard id, then per-shard
-      emission order.  A pure function of the shard contents. *)
+  (** The retained events sorted by clock track (host {!Event.Mono} first,
+      then simulated {!Event.Cycles}), then timestamp, then emission
+      order. *)
 
   val to_chrome : t -> Report.Json.t
   (** Chrome trace-event JSON: spans ([ph:"X"]) for decompressions, passes
       and jobs, instants for stub transitions, buffer entries and job
       submissions.  Simulated-cycle events live on pid 0 (1 cycle = 1 µs
-      tick); host events on pid 1, rebased to the earliest host timestamp.
-      [otherData] carries aggregate and per-shard emitted/dropped counts
-      and the monotonic clock's epoch offset.  Begin/start markers are not
-      exported separately — every span is synthesised from its end event,
-      so a wrapped ring never produces unbalanced pairs. *)
+      tick); host events on pid 1, rebased to the earliest host span
+      start.  [otherData] carries the emitted/dropped counts and the
+      monotonic clock's epoch offset.  Each span comes from one end event
+      and its duration. *)
 
   val to_jsonl : t -> string
   (** One JSON object per line; the first line is a header with the schema
-      version, aggregate and per-shard drop accounting, and the epoch
-      offset. *)
-
-  val shards_json : t -> Report.Json.t
-  (** The per-shard accounting array as exported in both headers. *)
+      version, the drop accounting and the epoch offset. *)
 end
 
 module Metrics : sig
@@ -140,8 +134,6 @@ module Metrics : sig
 
   val incr : t -> ?by:int -> string -> unit
   (** Bump a counter (created at 0 on first use). *)
-
-  val set_gauge : t -> string -> int -> unit
 
   val max_gauge : t -> string -> int -> unit
   (** Gauge that keeps the maximum of all reported values. *)
@@ -177,11 +169,8 @@ type t = { trace : Trace.t option; metrics : Metrics.t option }
 
 val create : ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
 
-val full : ?capacity:int -> ?shards:int -> unit -> t
-(** Both halves enabled.  [shards] defaults to
-    [Domain.recommended_domain_count ()] so engine workers get
-    domain-local rings out of the box; pass [~shards:1] for the
-    single-ring behaviour. *)
+val full : ?capacity:int -> unit -> t
+(** Both halves enabled. *)
 
 val event : t -> Event.t -> unit
 val incr : t -> ?by:int -> string -> unit
@@ -189,6 +178,6 @@ val max_gauge : t -> string -> int -> unit
 val observe : t -> string -> int -> unit
 
 val snapshot_json : t -> Report.Json.t
-(** [{"metrics": ..., "trace": {"emitted", "dropped", "shards",
-    "events": [...]}}] with absent halves rendered as [null]; trace
-    events use the JSONL object shape. *)
+(** [{"metrics": ..., "trace": {"emitted", "dropped", "events": [...]}}]
+    with absent halves rendered as [null]; trace events use the JSONL
+    object shape. *)

@@ -108,9 +108,6 @@ let of_jsonl text =
                    match num "wall_s" with Some s -> 1e6 *. s | None -> 0.0
                  in
                  add tbl ("job " ^ job) us
-               | ("decomp_begin" | "pass_begin" | "job_start"), _, _, _, _ ->
-                 (* Spans come from the end events. *)
-                 ()
                | _ -> add tbl ev 0.0)
              | None ->
                (* The header line. *)

@@ -1,8 +1,9 @@
 (** Differential span profiles over exported traces.
 
     Loads a trace in either export format — the Chrome trace-event JSON or
-    the JSONL stream (both schema [pgcc-trace-v2], and the v1 forms of
-    either) — and reduces it to a {e span profile}: per span name, how
+    the JSONL stream (both schema [pgcc-trace-v3]; a v1 or v2 JSONL
+    stream's begin events load as zero-duration instants) — and reduces
+    it to a {e span profile}: per span name, how
     many times it fired and the total duration in microseconds (simulated
     cycles render as 1 cycle = 1 µs, matching the Chrome exporter).  Two
     profiles then diff name-by-name, which answers "where did the time

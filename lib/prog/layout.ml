@@ -113,7 +113,3 @@ let emit (p : Prog.t) =
   }
 
 let text_words img = Array.length img.text
-
-let block_of_addr img addr =
-  let idx = (addr - img.text_base) / 4 in
-  if idx < 0 || idx >= Array.length img.owners then None else img.owners.(idx)

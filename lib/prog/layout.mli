@@ -40,6 +40,3 @@ val emit : Prog.t -> image
 val text_words : image -> int
 (** Code size of the image in words (the paper's size metric counts
     everything in the text segment, including jump tables). *)
-
-val block_of_addr : image -> int -> (string * int) option
-(** Owner of the word at a text address. *)

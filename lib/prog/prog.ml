@@ -72,13 +72,6 @@ let instr_count t = List.fold_left (fun acc f -> acc + func_instr_count f) 0 t.f
 let text_words t =
   List.fold_left (fun acc f -> acc + func_instr_count f + Func.table_words f) 0 t.funcs
 
-let calls_of_block (b : Block.t) =
-  match b.term with
-  | Call { callee; _ } -> [ callee ]
-  | Fallthrough _ | Jump _ | Branch _ | Call_indirect _ | Jump_indirect _ | Return _
-  | No_return ->
-    []
-
 let block_calls_syscall (b : Block.t) sc =
   let code = Syscall.to_code sc in
   List.exists

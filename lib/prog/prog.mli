@@ -107,9 +107,6 @@ val successors : Func.t -> int -> dest list
     to [return_to]; indirect jumps through a known table yield its entries;
     unknown indirect jumps yield all blocks, conservatively). *)
 
-val calls_of_block : Block.t -> string list
-(** Direct callees of a block's terminator. *)
-
 val block_calls_syscall : Block.t -> Syscall.t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -182,11 +182,9 @@ let icount t = t.icount
 let cycles t = t.cycles
 let hook_invocations t = t.hook_invocations
 let set_obs t o = t.obs <- Some o
-let exited t = t.exit_code
 let counts t = t.counts
 let sample_hits t = t.sample_hits
 let sample_skips t = t.sample_skips
-let output_so_far t = Buffer.contents t.output
 
 let install_hook t ~addr f =
   if addr land 3 <> 0 then invalid_arg "Vm.install_hook: unaligned address";

@@ -105,7 +105,6 @@ val add_cycles : t -> int -> unit
 val icount : t -> int
 val cycles : t -> int
 val hook_invocations : t -> int
-val exited : t -> int option
 
 val set_obs : t -> Obs.t -> unit
 (** Attach an observability sink.  The VM itself only bumps the
@@ -131,5 +130,3 @@ val sample_skips : t -> int
 (** Instructions the sampler skipped (0 without a sampler; with one,
     [sample_hits + sample_skips] equals the profiled instruction count).
     Also bumped on the obs sink as ["vm.sample_skips"]. *)
-
-val output_so_far : t -> string

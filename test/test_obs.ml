@@ -9,11 +9,12 @@ let fuel = 500_000_000
 
 let pass_ev i =
   { Obs.Event.ts = Obs.Event.Mono (float_of_int i);
-    payload = Obs.Event.Pass_begin { name = Printf.sprintf "p%d" i } }
+    payload =
+      Obs.Event.Pass_end { name = Printf.sprintf "p%d" i; elapsed_s = 0.0 } }
 
 let pass_name (e : Obs.Event.t) =
   match e.Obs.Event.payload with
-  | Obs.Event.Pass_begin { name } -> name
+  | Obs.Event.Pass_end { name; _ } -> name
   | _ -> "?"
 
 let ring_tests =
@@ -47,93 +48,25 @@ let ring_tests =
           "tail retained"
           [ "p6"; "p7"; "p8"; "p9" ]
           (List.map pass_name (Obs.Trace.events tr)));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Sharded sinks: deterministic merge, per-shard accounting, tie-breaks. *)
-
-let shard_tests =
-  [
-    Alcotest.test_case "merge is independent of emission interleaving" `Quick
-      (fun () ->
-        (* The same events land in the same shards under two different
-           interleavings; the export must be byte-identical. *)
-        let ev_for i =
-          { Obs.Event.ts = Obs.Event.Mono (float_of_int (100 + i));
-            payload = Obs.Event.Pass_begin { name = Printf.sprintf "p%d" i } }
+    Alcotest.test_case "clock ties keep emission order" `Quick (fun () ->
+        let at name ts =
+          { Obs.Event.ts = Obs.Event.Mono ts;
+            payload = Obs.Event.Pass_end { name; elapsed_s = 0.0 } }
         in
-        let shard_of i = i mod 3 in
-        let tr1 = Obs.Trace.create ~capacity:48 ~shards:3 () in
-        for i = 0 to 11 do
-          Obs.Trace.emit_into tr1 ~shard:(shard_of i) (ev_for i)
-        done;
-        let tr2 = Obs.Trace.create ~capacity:48 ~shards:3 () in
-        (* Shard-major order: all of shard 0 first, then 1, then 2. *)
-        List.iter
-          (fun s ->
-            for i = 0 to 11 do
-              if shard_of i = s then
-                Obs.Trace.emit_into tr2 ~shard:s (ev_for i)
-            done)
-          [ 2; 0; 1 ];
-        Alcotest.(check string)
-          "jsonl identical"
-          (Obs.Trace.to_jsonl tr1)
-          (Obs.Trace.to_jsonl tr2);
-        Alcotest.(check string)
-          "chrome identical"
-          (Report.Json.to_string (Obs.Trace.to_chrome tr1))
-          (Report.Json.to_string (Obs.Trace.to_chrome tr2));
+        let tr = Obs.Trace.create ~capacity:16 () in
+        List.iter (Obs.Trace.emit tr)
+          [ at "b" 5.0; at "c" 5.0; at "a" 4.0; at "d" 5.0 ];
         Alcotest.(check (list string))
-          "merged order is clock order"
-          (List.init 12 (Printf.sprintf "p%d"))
-          (List.map pass_name (Obs.Trace.events tr1)));
-    Alcotest.test_case "per-shard drop accounting" `Quick (fun () ->
-        (* Total capacity 8 over 2 shards = 4 each.  Six events into shard
-           0 drop two there; three into shard 1 drop none. *)
-        let tr = Obs.Trace.create ~capacity:8 ~shards:2 () in
-        for i = 0 to 5 do
-          Obs.Trace.emit_into tr ~shard:0 (pass_ev i)
-        done;
-        for i = 10 to 12 do
-          Obs.Trace.emit_into tr ~shard:1 (pass_ev i)
-        done;
-        Alcotest.(check (list (pair int int)))
-          "per-shard (emitted, dropped)"
-          [ (6, 2); (3, 0) ]
-          (Array.to_list (Obs.Trace.shard_stats tr));
-        Alcotest.(check int) "total emitted" 9 (Obs.Trace.emitted tr);
-        Alcotest.(check int) "total dropped" 2 (Obs.Trace.dropped tr);
-        Alcotest.(check int) "total length" 7 (Obs.Trace.length tr);
-        (* The oldest two of shard 0 are gone; survivors still merge in
-           clock order. *)
-        Alcotest.(check (list string))
-          "survivors in clock order"
-          [ "p2"; "p3"; "p4"; "p5"; "p10"; "p11"; "p12" ]
+          "clock, then emission order"
+          [ "a"; "b"; "c"; "d" ]
           (List.map pass_name (Obs.Trace.events tr)));
-    Alcotest.test_case "clock ties break by shard id then sequence" `Quick
+    Alcotest.test_case "both clock tracks export host-track first" `Quick
       (fun () ->
-        let at_five name =
-          { Obs.Event.ts = Obs.Event.Mono 5.0;
-            payload = Obs.Event.Pass_begin { name } }
-        in
-        let tr = Obs.Trace.create ~capacity:16 ~shards:2 () in
-        (* Emit into shard 1 before shard 0: shard id must win over
-           arrival order. *)
-        Obs.Trace.emit_into tr ~shard:1 (at_five "s1a");
-        Obs.Trace.emit_into tr ~shard:1 (at_five "s1b");
-        Obs.Trace.emit_into tr ~shard:0 (at_five "s0a");
-        Alcotest.(check (list string))
-          "shard id, then per-shard sequence"
-          [ "s0a"; "s1a"; "s1b" ]
-          (List.map pass_name (Obs.Trace.events tr)));
-    Alcotest.test_case "both clock tracks merge host-track first" `Quick
-      (fun () ->
-        let tr = Obs.Trace.create ~capacity:16 ~shards:2 () in
-        Obs.Trace.emit_into tr ~shard:1
+        let tr = Obs.Trace.create ~capacity:16 () in
+        Obs.Trace.emit tr
           { Obs.Event.ts = Obs.Event.Cycles 1;
-            payload = Obs.Event.Decomp_begin { region = 7 } };
-        Obs.Trace.emit_into tr ~shard:0 (pass_ev 3);
+            payload = Obs.Event.Cache_evict { region = 7; slot = 0 } };
+        Obs.Trace.emit tr (pass_ev 3);
         (* Mono events (track 0) sort before Cycles events (track 1)
            whatever their numeric clock values. *)
         match List.map (fun (e : Obs.Event.t) -> e.Obs.Event.ts)
@@ -149,7 +82,6 @@ let shard_tests =
 let mixed_trace () =
   let tr = Obs.Trace.create ~capacity:64 () in
   let emit ts p = Obs.Trace.emit tr { Obs.Event.ts; payload = p } in
-  emit (Obs.Event.Cycles 100) (Obs.Event.Decomp_begin { region = 0 });
   emit (Obs.Event.Cycles 140)
     (Obs.Event.Decomp_end { region = 0; bits = 33; words = 7; cycles = 40 });
   emit (Obs.Event.Cycles 141)
@@ -158,11 +90,9 @@ let mixed_trace () =
     (Obs.Event.Stub_create { region = 1; ret = 8; live = 1 });
   emit (Obs.Event.Cycles 190)
     (Obs.Event.Stub_free { region = 1; ret = 8; live = 0 });
-  emit (Obs.Event.Mono 10.0) (Obs.Event.Pass_begin { name = "huffman" });
   emit (Obs.Event.Mono 10.25)
     (Obs.Event.Pass_end { name = "huffman"; elapsed_s = 0.25 });
   emit (Obs.Event.Mono 10.3) (Obs.Event.Job_submit { label = "cell" });
-  emit (Obs.Event.Mono 10.4) (Obs.Event.Job_start { label = "cell"; worker = 2 });
   emit (Obs.Event.Mono 10.9)
     (Obs.Event.Job_finish { label = "cell"; worker = 2; ok = true; wall_s = 0.5 });
   tr
@@ -186,11 +116,11 @@ let exporter_tests =
           Json_check.parse (Report.Json.to_string (Obs.Trace.to_chrome tr))
         in
         Alcotest.(check string)
-          "schema" "pgcc-trace-v2"
+          "schema" "pgcc-trace-v3"
           (str_exn (Json_check.member_exn "schema" doc));
         let other = Json_check.member_exn "otherData" doc in
         Alcotest.(check (float 0.0))
-          "emitted" 10.0
+          "emitted" 7.0
           (num_exn (Json_check.member_exn "emitted" other));
         let rows =
           match Json_check.member_exn "traceEvents" doc with
@@ -200,8 +130,7 @@ let exporter_tests =
         let ph r = str_exn (Json_check.member_exn "ph" r) in
         let count p = List.length (List.filter (fun r -> ph r = p) rows) in
         (* Decomp_end, Pass_end, Job_finish become spans; Buffer_enter,
-           Stub_create, Stub_free, Job_submit become instants; the begin/
-           start markers are folded into their spans. *)
+           Stub_create, Stub_free, Job_submit become instants. *)
         Alcotest.(check int) "metadata rows" 2 (count "M");
         Alcotest.(check int) "spans" 3 (count "X");
         Alcotest.(check int) "instants" 4 (count "i");
@@ -218,7 +147,7 @@ let exporter_tests =
         Alcotest.(check (float 0.0))
           "span duration" 40.0
           (num_exn (Json_check.member_exn "dur" decomp));
-        (* Wall-clock rows are rebased to the earliest wall event. *)
+        (* Host rows are rebased to the earliest host event. *)
         let pass =
           List.find
             (fun r -> str_exn (Json_check.member_exn "name" r) = "pass huffman")
@@ -231,15 +160,16 @@ let exporter_tests =
           "pass duration us" 250_000.0
           (num_exn (Json_check.member_exn "dur" pass)));
     Alcotest.test_case "chrome export survives a wrapped ring" `Quick (fun () ->
-        (* Capacity 2: the first begin is overwritten, and a trailing begin
-           has no end yet.  The export must still be balanced — one span,
-           nothing orphaned. *)
+        (* Capacity 2: the first decompression is overwritten.  The
+           survivors still export whole — one span, one instant. *)
         let tr = Obs.Trace.create ~capacity:2 () in
         let emit ts p = Obs.Trace.emit tr { Obs.Event.ts; payload = p } in
-        emit (Obs.Event.Cycles 10) (Obs.Event.Decomp_begin { region = 0 });
         emit (Obs.Event.Cycles 50)
           (Obs.Event.Decomp_end { region = 0; bits = 8; words = 2; cycles = 40 });
-        emit (Obs.Event.Cycles 60) (Obs.Event.Decomp_begin { region = 1 });
+        emit (Obs.Event.Cycles 55)
+          (Obs.Event.Buffer_enter { region = 0; offset = 0; pc = 4096 });
+        emit (Obs.Event.Cycles 100)
+          (Obs.Event.Decomp_end { region = 1; bits = 8; words = 2; cycles = 40 });
         let doc =
           Json_check.parse (Report.Json.to_string (Obs.Trace.to_chrome tr))
         in
@@ -249,21 +179,26 @@ let exporter_tests =
           | _ -> Alcotest.fail "traceEvents not a list"
         in
         let ph r = str_exn (Json_check.member_exn "ph" r) in
-        Alcotest.(check int) "one span" 1
-          (List.length (List.filter (fun r -> ph r = "X") rows));
-        Alcotest.(check int) "no instants" 0
-          (List.length (List.filter (fun r -> ph r = "i") rows)));
+        match List.filter (fun r -> ph r = "X") rows with
+        | [ span ] ->
+          Alcotest.(check string) "newest span" "decompress r1"
+            (str_exn (Json_check.member_exn "name" span));
+          Alcotest.(check (float 0.0)) "span start" 60.0
+            (num_exn (Json_check.member_exn "ts" span));
+          Alcotest.(check int) "one instant" 1
+            (List.length (List.filter (fun r -> ph r = "i") rows))
+        | spans -> Alcotest.failf "%d spans, expected one" (List.length spans));
     Alcotest.test_case "jsonl export parses line by line" `Quick (fun () ->
         let tr = mixed_trace () in
         let lines =
           Obs.Trace.to_jsonl tr |> String.split_on_char '\n'
           |> List.filter (fun l -> l <> "")
         in
-        Alcotest.(check int) "header + events" 11 (List.length lines);
+        Alcotest.(check int) "header + events" 8 (List.length lines);
         let parsed = List.map Json_check.parse lines in
         let header = List.hd parsed in
         Alcotest.(check string)
-          "schema" "pgcc-trace-v2"
+          "schema" "pgcc-trace-v3"
           (str_exn (Json_check.member_exn "schema" header));
         Alcotest.(check (float 0.0))
           "dropped" 0.0
@@ -435,19 +370,11 @@ let squash_fib ?obs () =
 
 let span_tests =
   [
-    Alcotest.test_case "the pipeline emits balanced pass spans" `Quick
+    Alcotest.test_case "the pipeline emits one pass_end per pass" `Quick
       (fun () ->
         let obs = Obs.full () in
-        let _ = squash_fib ~obs () in
+        let r, _ = squash_fib ~obs () in
         let evs = Obs.Trace.events (Option.get obs.Obs.trace) in
-        let begins =
-          List.filter_map
-            (fun (e : Obs.Event.t) ->
-              match e.Obs.Event.payload with
-              | Obs.Event.Pass_begin { name } -> Some name
-              | _ -> None)
-            evs
-        in
         let ends =
           List.filter_map
             (fun (e : Obs.Event.t) ->
@@ -460,14 +387,18 @@ let span_tests =
               | _ -> None)
             evs
         in
-        Alcotest.(check bool) "some passes ran" true (begins <> []);
-        Alcotest.(check (list string)) "begin/end pair up" begins ends;
+        Alcotest.(check (list string))
+          "one end event per pass, in order"
+          (List.map
+             (fun (s : Pass.stats) -> s.Pass.pass_name)
+             r.Squash.stats.Pipeline.passes)
+          ends;
         Alcotest.(check int)
           "counter matches" (List.length ends)
           (Obs.Metrics.counter_value
              (Option.get obs.Obs.metrics)
              "pipeline.passes_run"));
-    Alcotest.test_case "the engine emits job submit/start/finish" `Quick
+    Alcotest.test_case "the engine emits job submit and finish events" `Quick
       (fun () ->
         let obs = Obs.full () in
         let results, stats =
@@ -491,11 +422,6 @@ let span_tests =
           (count (fun e ->
                match e.Obs.Event.payload with
                | Obs.Event.Job_submit _ -> true
-               | _ -> false));
-        Alcotest.(check int) "starts" 3
-          (count (fun e ->
-               match e.Obs.Event.payload with
-               | Obs.Event.Job_start _ -> true
                | _ -> false));
         let finishes =
           List.filter_map
@@ -536,6 +462,54 @@ let span_tests =
           (Obs.Metrics.counter_value m "runtime.decompressions");
         Alcotest.(check int) "replayed stub creates" stats.Runtime.stub_creates
           (Obs.Metrics.counter_value m "runtime.stub_creates"));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The one meter, at both sites that use it.  A 1000-cell list is 3000
+   words (a header and two fields per cell), allocated in the minor heap
+   and kept live; a meter that reads the minor count only as of the last
+   minor collection reports next to nothing for it. *)
+
+let cells = 1000
+
+let measure_tests =
+  [
+    Alcotest.test_case "a pass's allocation is counted to the word" `Quick
+      (fun () ->
+        let keep = ref [] in
+        let alloc_pass =
+          { Pass.name = "alloc";
+            transform = (fun st -> keep := List.init cells Fun.id; st);
+            note = (fun _ -> "") }
+        in
+        let p, _ = Squeeze.run (compile fib_src) in
+        let profile, _ = Profile.collect p ~input:"" in
+        let obs = Obs.full () in
+        let _, stats =
+          Pipeline.execute ~obs ~passes:[ alloc_pass ] (Pass.init p profile)
+        in
+        let stat = (List.hd stats.Pipeline.passes).Pass.cost.Obs.alloc_words in
+        let hist =
+          Obs.Metrics.histogram_sum (Option.get obs.Obs.metrics)
+            "pipeline.pass_alloc_words"
+        in
+        Alcotest.(check int) "list kept" cells (List.length !keep);
+        Alcotest.(check bool)
+          (Printf.sprintf "stats read %d words" stat) true (stat >= 3 * cells);
+        Alcotest.(check bool)
+          (Printf.sprintf "histogram reads %d words" hist) true
+          (hist >= 3 * cells));
+    Alcotest.test_case "an engine job's allocation is counted to the word"
+      `Quick (fun () ->
+        let results, stats =
+          Engine.run ~jobs:1 [ (fun () -> List.init cells Fun.id) ]
+        in
+        let words = (List.hd stats.Engine.job_stats).Engine.cost.Obs.alloc_words in
+        Alcotest.(check (result int reject)) "list kept" (Ok cells)
+          (Result.map List.length results.(0));
+        Alcotest.(check bool)
+          (Printf.sprintf "job_stat reads %d words" words) true
+          (words >= 3 * cells));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -685,9 +659,9 @@ let workload_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The acceptance property for sharded sinks: a traced JOBS=8 grid is
-   byte-identical in outcomes to an untraced one.  The memos are reset so
-   both runs really execute. *)
+(* Tracing must not change results: a traced JOBS=8 grid is byte-identical
+   in outcomes to an untraced one.  The memos are reset so both runs
+   really execute. *)
 
 let grid_determinism_tests =
   [
@@ -710,7 +684,7 @@ let grid_determinism_tests =
               results)
         in
         let plain = run_with None in
-        let obs = Obs.full ~shards:9 () in
+        let obs = Obs.full () in
         let traced = run_with (Some obs) in
         Alcotest.(check string)
           "cell outcomes byte-identical"
@@ -719,27 +693,17 @@ let grid_determinism_tests =
           "cell json byte-identical"
           (Report.Json.to_string (Exp_grid.to_json plain))
           (Report.Json.to_string (Exp_grid.to_json traced));
-        let tr = Option.get obs.Obs.trace in
-        Alcotest.(check int) "nine shards" 9 (Obs.Trace.shard_count tr);
         Alcotest.(check bool) "events recorded" true
-          (Obs.Trace.emitted tr > 0);
-        (* Aggregated accounting equals the per-shard sums. *)
-        let se, sd =
-          Array.fold_left
-            (fun (ae, ad) (e, d) -> (ae + e, ad + d))
-            (0, 0) (Obs.Trace.shard_stats tr)
-        in
-        Alcotest.(check int) "emitted sums" (Obs.Trace.emitted tr) se;
-        Alcotest.(check int) "dropped sums" (Obs.Trace.dropped tr) sd);
+          (Obs.Trace.emitted (Option.get obs.Obs.trace) > 0));
   ]
 
 let suite =
   [
     ("obs.trace", ring_tests);
-    ("obs.shards", shard_tests);
     ("obs.export", exporter_tests);
     ("obs.metrics", metrics_tests);
     ("obs.spans", span_tests);
+    ("obs.measure", measure_tests);
     ("obs.grid", grid_determinism_tests);
     ("obs.workloads", workload_tests);
   ]

@@ -195,7 +195,7 @@ let stats_tests =
              (fun prev (s : Pass.stats) ->
                Alcotest.(check bool)
                  (Printf.sprintf "%s time non-negative" s.Pass.pass_name)
-                 true (s.Pass.elapsed_s >= 0.0);
+                 true (s.Pass.cost.Obs.elapsed_s >= 0.0);
                (match prev with
                | None -> ()
                | Some (pw, pi) ->
@@ -208,7 +208,8 @@ let stats_tests =
                Some (s.Pass.words_after, s.Pass.instrs_after))
              None ss);
         let sum =
-          List.fold_left (fun acc (s : Pass.stats) -> acc +. s.Pass.elapsed_s)
+          List.fold_left
+            (fun acc (s : Pass.stats) -> acc +. s.Pass.cost.Obs.elapsed_s)
             0.0 ss
         in
         Alcotest.(check bool) "total is the sum of the passes" true
@@ -228,13 +229,6 @@ let stats_tests =
               (contains json (Printf.sprintf "\"name\":%S" name)))
           (Pipeline.names (Pipeline.of_options Squash.default_options));
         Alcotest.(check bool) "json has total_s" true (contains json "\"total_s\""));
-    Alcotest.test_case "trace emits one line per pass" `Quick (fun () ->
-        let p, prof = Lazy.force prepared in
-        let lines = ref [] in
-        let _ = Squash.run ~trace:(fun l -> lines := l :: !lines) p prof in
-        Alcotest.(check int) "line count"
-          (List.length (Pipeline.of_options Squash.default_options))
-          (List.length !lines));
   ]
 
 let identity_tests =

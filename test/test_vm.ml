@@ -508,17 +508,12 @@ let memory_tests =
           | Ok p -> Layout.emit p
           | Error e -> Alcotest.fail e
         in
-        let allocated () =
-          let s = Gc.quick_stat () in
-          s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-        in
-        let before = allocated () in
-        let vm = Vm.of_image img ~input:"" in
-        let words = allocated () -. before in
+        let vm, cost = Obs.measure (fun () -> Vm.of_image img ~input:"") in
+        let words = cost.Obs.alloc_words in
         Alcotest.(check bool)
-          (Printf.sprintf "%.0f words allocated, under 1/16 of 8388608" words)
+          (Printf.sprintf "%d words allocated, under 1/16 of 8388608" words)
           true
-          (words < 8_388_608. /. 16.);
+          (words < 8_388_608 / 16);
         check_exit "still runs" 3 (Vm.run vm));
   ]
 
