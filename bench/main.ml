@@ -193,11 +193,6 @@ let () =
   let ids = split_json [] args in
   let json_file = !json in
   Exp_grid.set_jobs !jobs;
-  (* One sink for the whole run: the engine emits job submit/start/finish
-     spans into the trace from every worker domain, and each timing cell
-     replays its runtime aggregates into the metrics registry. *)
-  let obs = Obs.full () in
-  Exp_grid.set_obs (Some obs);
   Printf.printf "engine: %d jobs\n%!" (Exp_grid.jobs ());
   let requested =
     match ids with
@@ -288,14 +283,6 @@ let () =
       Report.Json.Obj
         (provenance
         @ [ ("experiments", Report.Json.List (List.rev !recorded));
-            ( "metrics",
-              match obs.Obs.metrics with
-              | Some m -> Obs.Metrics.to_json m
-              | None -> Report.Json.Null );
-            ( "engine_spans",
-              match obs.Obs.trace with
-              | Some tr -> Obs.Trace.to_chrome tr
-              | None -> Report.Json.Null );
             ("runtime_sample", runtime_sample) ])
     in
     let oc = open_out file in

@@ -485,7 +485,7 @@ type image = {
 (* Squash the program under [options] (θ and K from [args]), profiling it
    on the resolved input unless [--profile] names a saved profile. *)
 let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
-    ?obs args =
+    ?trace args =
   let prog, wl = prepare args.prog_name args.no_squeeze in
   let input = resolve_input args.inputs wl in
   let profile =
@@ -497,7 +497,7 @@ let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
     { options with Squash.theta = args.theta; k_bytes = args.k_bytes }
   in
   let result =
-    try Squash.run ~options ?check_each ?lint ?prove ?obs prog profile
+    try Squash.run ~options ?check_each ?lint ?prove ?trace prog profile
     with Pipeline.Check_failed { pass; errors } ->
       Printf.eprintf "squashc: pass %S broke an invariant:\n" pass;
       List.iter (fun e -> Printf.eprintf "squashc:   %s\n" e) errors;
@@ -508,8 +508,8 @@ let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
   in
   { args; prog; profile; result; run_input }
 
-let run_image ?obs img =
-  Runtime.run ~slots:img.args.cache_slots ?obs img.result.Squash.squashed
+let run_image ?trace img =
+  Runtime.run ~slots:img.args.cache_slots ?trace img.result.Squash.squashed
     ~input:img.run_input
 
 let squash_cmd =
@@ -604,15 +604,8 @@ let squash_cmd =
         regions_strategy = (if linear_regions then `Linear else `Dfs);
       }
     in
-    let metrics = Obs.Metrics.create () in
-    let obs =
-      Obs.create
-        ?trace:(Option.map (fun _ -> Obs.Trace.create ()) trace_out)
-        ~metrics ()
-    in
-    let img =
-      squash_image ~options ~check_each ~lint:true ~prove ~obs args
-    in
+    let trace = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
+    let img = squash_image ~options ~check_each ~lint:true ~prove ?trace args in
     let result = img.result in
     Format.printf "%a@." Squash.pp_summary result;
     if trace_passes then print_string (Pipeline.render_stats result.Squash.stats);
@@ -647,7 +640,7 @@ let squash_cmd =
       let baseline =
         Vm.run (Vm.of_image (Layout.emit img.prog) ~input:img.run_input)
       in
-      let outcome, stats = run_image ~obs img in
+      let outcome, stats = run_image ?trace img in
       runtime_stats := Some stats;
       if
         outcome.Vm.output = baseline.Vm.output
@@ -669,7 +662,7 @@ let squash_cmd =
       let codes = result.Squash.squashed.Rewrite.codes in
       write_json path
         (Report.Json.Obj
-           ([ ("schema", Report.Json.String "pgcc-squash-stats-v4");
+           ([ ("schema", Report.Json.String "pgcc-squash-stats-v5");
               ("coder", Report.Json.String (Compress.coder_name codes));
               ("table_bits", Report.Json.Int (Compress.table_bits codes));
               ("stream_bits",
@@ -677,13 +670,12 @@ let squash_cmd =
                  (List.map
                     (fun (name, b) -> (name, Report.Json.Int b))
                     (coder_stream_bits ())));
-              ("pipeline", Pipeline.stats_json result.Squash.stats);
-              ("metrics", Obs.Metrics.to_json metrics) ]
+              ("pipeline", Pipeline.stats_json result.Squash.stats) ]
            @
            match !runtime_stats with
            | None -> []
            | Some st -> [ ("runtime", Runtime.stats_to_json st) ])));
-    match (trace_out, obs.Obs.trace) with
+    match (trace_out, trace) with
     | Some path, Some tr -> write_trace path tr
     | _ -> ()
   in
@@ -844,8 +836,7 @@ let grid_cmd =
   let run names thetas ks timing cache_slots jobs json_out csv_out stats_flag
       trace_out =
     let wls = find_workloads names in
-    let obs = Option.map (fun _ -> Obs.full ()) trace_out in
-    Exp_grid.set_obs obs;
+    let trace = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
     (* Workload-innermost order so the first [jobs] cells touch distinct
        workloads and the prepare stages parallelise. *)
     let cells =
@@ -861,7 +852,7 @@ let grid_cmd =
             thetas)
         ks
     in
-    let results, stats = Exp_grid.run ?jobs cells in
+    let results, stats = Exp_grid.run ?jobs ?trace cells in
     print_string (Exp_grid.render_table results);
     if stats_flag then print_string (Engine.render_stats stats)
     else
@@ -869,8 +860,8 @@ let grid_cmd =
         "engine: %d cells on %d workers in %.2fs (busy %.2fs, %d failed)\n"
         stats.Engine.submitted stats.Engine.pool stats.Engine.wall_s
         stats.Engine.busy_s stats.Engine.failed;
-    (match (trace_out, obs) with
-    | Some path, Some { Obs.trace = Some tr; _ } -> write_trace path tr
+    (match (trace_out, trace) with
+    | Some path, Some tr -> write_trace path tr
     | _ -> ());
     (match json_out with
     | None -> ()

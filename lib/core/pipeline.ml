@@ -308,23 +308,20 @@ let check_state (st : Pass.state) =
   in
   match ir @ stale with [] -> Ok () | es -> Error es
 
-let execute ?(check_each = false) ?obs ~passes st =
+let execute ?(check_each = false) ?trace ~passes st =
   let st, rev_stats =
     List.fold_left
       (fun (st, acc) (p : Pass.t) ->
         let instrs_before = Prog.instr_count st.Pass.prog in
         let words_before = Pass.footprint st in
         let st', cost = Obs.measure (fun () -> p.Pass.transform st) in
-        (match obs with
+        (match trace with
         | None -> ()
-        | Some o ->
-          let { Obs.start; elapsed_s; alloc_words; _ } = cost in
-          Obs.event o
+        | Some t ->
+          let { Obs.start; elapsed_s; _ } = cost in
+          Obs.Trace.emit t
             { ts = Obs.Event.Mono (start +. elapsed_s);
-              payload = Obs.Event.Pass_end { name = p.Pass.name; elapsed_s } };
-          Obs.incr o "pipeline.passes_run";
-          Obs.observe o "pipeline.pass_alloc_words" alloc_words;
-          Obs.max_gauge o "gc.top_heap_words" (Gc.quick_stat ()).Gc.top_heap_words);
+              payload = Obs.Event.Pass_end { name = p.Pass.name; elapsed_s } });
         (if check_each then
            match check_state st' with
            | Ok () -> ()

@@ -60,7 +60,7 @@ type run_stats = {
 
 val execute :
   ?check_each:bool ->
-  ?obs:Obs.t ->
+  ?trace:Obs.Trace.t ->
   passes:Pass.t list ->
   Pass.state ->
   Pass.state * run_stats
@@ -70,10 +70,8 @@ val execute :
     With [~check_each:true], {!Prog.validate} runs after every pass,
     together with a check that every block the state's profile names still
     exists; a failure raises {!Check_failed} naming the offending pass.
-    Each pass is measured by {!Obs.measure}.  [obs] receives one
-    {!Obs.Event.Pass_end} span event per pass (monotonic clock), a
-    ["pipeline.passes_run"] counter bump, a ["pipeline.pass_alloc_words"]
-    sample and the ["gc.top_heap_words"] max-gauge. *)
+    Each pass is measured by {!Obs.measure}.  [trace] receives one
+    {!Obs.Event.Pass_end} span event per pass (monotonic clock). *)
 
 val render_stats : run_stats -> string
 (** An aligned text table of the per-pass statistics. *)

@@ -34,27 +34,6 @@ let stats_to_json (s : stats) =
       ("per_region_cycles", ints s.per_region_cycles);
     ]
 
-(* Replay end-of-run aggregates into a metrics registry.  Used when the
-   run itself happened elsewhere (e.g. a cached timing result) so live
-   events never fired; deterministic for a given stats value.  Every
-   decompression is by definition a cache miss, so the miss counter is
-   replayed from [decompressions]. *)
-let observe_stats (o : Obs.t) (s : stats) =
-  Obs.incr o ~by:s.decompressions "runtime.decompressions";
-  Obs.incr o ~by:s.decompressions "runtime.cache_misses";
-  Obs.incr o ~by:s.cache_hits "runtime.cache_hits";
-  Obs.incr o ~by:s.cache_evictions "runtime.cache_evictions";
-  Obs.incr o ~by:s.bits_decoded "runtime.bits_decoded";
-  Obs.incr o ~by:s.model_steps "runtime.model_steps";
-  Obs.incr o ~by:s.words_materialised "runtime.words_materialised";
-  Obs.incr o ~by:s.stub_creates "runtime.stub_creates";
-  Obs.incr o ~by:s.stub_reuses "runtime.stub_reuses";
-  Obs.incr o ~by:s.stub_frees "runtime.stub_frees";
-  Obs.max_gauge o "runtime.max_live_stubs" s.max_live_stubs;
-  Array.iter
-    (fun n -> if n > 0 then Obs.observe o "runtime.region_redecompressions" n)
-    s.per_region
-
 type stub_slot = { mutable key : int * int; mutable count : int }
 (* key = (region id, slot-relative resume offset); count = 0 means free.
    The key is slot-independent on purpose: a region that re-materialises in
@@ -76,9 +55,7 @@ type state = {
   region_slot : int array;  (* region id -> cache slot index; -1 if absent *)
   region_refs : int array;  (* region id -> live restore stubs tagged with it *)
   mutable tick : int;  (* LRU clock *)
-  obs : Obs.t option;
-  stub_born : int array;  (* cycle stamp when the slot last became live *)
-  mutable last_decomp_end : int;  (* cycle stamp of the previous decompression *)
+  trace : Obs.Trace.t option;
 }
 
 let stub_addr st slot = st.sq.Rewrite.stub_base + (16 * slot)
@@ -113,13 +90,12 @@ let pick_slot st vm =
     let c = st.cache.(!victim) in
     st.region_slot.(c.rid) <- -1;
     st.stats.cache_evictions <- st.stats.cache_evictions + 1;
-    (match st.obs with
+    (match st.trace with
     | None -> ()
-    | Some o ->
-      Obs.event o
+    | Some t ->
+      Obs.Trace.emit t
         { ts = Obs.Event.Cycles (Vm.cycles vm);
-          payload = Obs.Event.Cache_evict { region = c.rid; slot = !victim } };
-      Obs.incr o "runtime.cache_evictions");
+          payload = Obs.Event.Cache_evict { region = c.rid; slot = !victim } });
     c.rid <- -1;
     !victim
   end
@@ -159,22 +135,13 @@ let decompress st vm rid ~slot =
   in
   st.stats.per_region_cycles.(rid) <- st.stats.per_region_cycles.(rid) + charged;
   Vm.add_cycles vm charged;
-  match st.obs with
+  match st.trace with
   | None -> ()
-  | Some o ->
-    let now = Vm.cycles vm in
-    Obs.event o
-      { ts = Obs.Event.Cycles now;
+  | Some t ->
+    Obs.Trace.emit t
+      { ts = Obs.Event.Cycles (Vm.cycles vm);
         payload =
-          Obs.Event.Decomp_end { region = rid; bits; words; cycles = charged } };
-    Obs.incr o "runtime.decompressions";
-    Obs.incr o "runtime.cache_misses";
-    Obs.incr o ~by:bits "runtime.bits_decoded";
-    Obs.incr o ~by:steps "runtime.model_steps";
-    Obs.incr o ~by:words "runtime.words_materialised";
-    if st.last_decomp_end >= 0 then
-      Obs.observe o "runtime.decomp_interarrival_cycles" (now - st.last_decomp_end);
-    st.last_decomp_end <- now
+          Obs.Event.Decomp_end { region = rid; bits; words; cycles = charged } }
 
 let in_stub_area st addr =
   addr >= st.sq.Rewrite.stub_base
@@ -200,17 +167,14 @@ let decomp_hook st ~r ~push_form vm =
         st.region_refs.(fst s.key) <- st.region_refs.(fst s.key) - 1;
         st.stats.stub_frees <- st.stats.stub_frees + 1;
         st.stats.live_stubs <- st.stats.live_stubs - 1;
-        match st.obs with
+        match st.trace with
         | None -> ()
-        | Some o ->
-          let now = Vm.cycles vm in
-          Obs.event o
-            { ts = Obs.Event.Cycles now;
+        | Some t ->
+          Obs.Trace.emit t
+            { ts = Obs.Event.Cycles (Vm.cycles vm);
               payload =
                 Obs.Event.Stub_free
-                  { region = fst s.key; ret = snd s.key; live = st.stats.live_stubs } };
-          Obs.incr o "runtime.stub_frees";
-          Obs.observe o "runtime.stub_lifetime_cycles" (now - st.stub_born.(slot))
+                  { region = fst s.key; ret = snd s.key; live = st.stats.live_stubs } }
       end
     end
   end;
@@ -230,7 +194,6 @@ let decomp_hook st ~r ~push_form vm =
       st.stats.per_region_cycles.(rid) <-
         st.stats.per_region_cycles.(rid) + st.cost.Cost.decomp_cache_hit;
       Vm.add_cycles vm st.cost.Cost.decomp_cache_hit;
-      (match st.obs with None -> () | Some o -> Obs.incr o "runtime.cache_hits");
       slot
     | _ ->
       let slot = pick_slot st vm in
@@ -240,10 +203,10 @@ let decomp_hook st ~r ~push_form vm =
   touch st slot;
   let dest = slot_base st slot + (4 * off) in
   Vm.set_pc vm dest;
-  match st.obs with
+  match st.trace with
   | None -> ()
-  | Some o ->
-    Obs.event o
+  | Some t ->
+    Obs.Trace.emit t
       { ts = Obs.Event.Cycles (Vm.cycles vm);
         payload = Obs.Event.Buffer_enter { region = rid; offset = off; pc = dest } }
 
@@ -278,14 +241,13 @@ let create_stub_hook st ~r vm =
       s.count <- s.count + 1;
       Vm.store_word vm (stub_addr st slot + 8) s.count;
       st.stats.stub_reuses <- st.stats.stub_reuses + 1;
-      (match st.obs with
+      (match st.trace with
       | None -> ()
-      | Some o ->
-        Obs.event o
+      | Some t ->
+        Obs.Trace.emit t
           { ts = Obs.Event.Cycles (Vm.cycles vm);
             payload =
-              Obs.Event.Stub_reuse { region; ret; live = st.stats.live_stubs } };
-        Obs.incr o "runtime.stub_reuses");
+              Obs.Event.Stub_reuse { region; ret; live = st.stats.live_stubs } });
       slot
     | None ->
       let slot =
@@ -315,24 +277,20 @@ let create_stub_hook st ~r vm =
       st.stats.live_stubs <- st.stats.live_stubs + 1;
       if st.stats.live_stubs > st.stats.max_live_stubs then
         st.stats.max_live_stubs <- st.stats.live_stubs;
-      (match st.obs with
+      (match st.trace with
       | None -> ()
-      | Some o ->
-        let now = Vm.cycles vm in
-        st.stub_born.(slot) <- now;
-        Obs.event o
-          { ts = Obs.Event.Cycles now;
+      | Some t ->
+        Obs.Trace.emit t
+          { ts = Obs.Event.Cycles (Vm.cycles vm);
             payload =
-              Obs.Event.Stub_create { region; ret; live = st.stats.live_stubs } };
-        Obs.incr o "runtime.stub_creates";
-        Obs.max_gauge o "runtime.max_live_stubs" st.stats.live_stubs);
+              Obs.Event.Stub_create { region; ret; live = st.stats.live_stubs } });
       slot
   in
   Vm.set_reg vm r (stub_addr st slot);
   Vm.add_cycles vm st.cost.Cost.stub_invoke;
   Vm.set_pc vm ret
 
-let launch ?(cost = Cost.default) ?fuel ?obs ?profile ?(slots = 1) (sq : Rewrite.t)
+let launch ?(cost = Cost.default) ?fuel ?trace ?profile ?(slots = 1) (sq : Rewrite.t)
     ~input =
   if slots < 1 then invalid_arg "Runtime.launch: slots must be >= 1";
   let nregions = Array.length sq.Rewrite.images in
@@ -383,12 +341,9 @@ let launch ?(cost = Cost.default) ?fuel ?obs ?profile ?(slots = 1) (sq : Rewrite
       region_slot = Array.make (max 1 nregions) (-1);
       region_refs = Array.make (max 1 nregions) 0;
       tick = 0;
-      obs;
-      stub_born = Array.make (max 1 sq.Rewrite.max_stubs) 0;
-      last_decomp_end = -1;
+      trace;
     }
   in
-  (match obs with None -> () | Some o -> Vm.set_obs vm o);
   for r = 0 to Reg.count - 1 do
     Vm.install_hook vm ~addr:(Rewrite.decomp_entry sq r)
       (decomp_hook st ~r ~push_form:false);
@@ -398,6 +353,6 @@ let launch ?(cost = Cost.default) ?fuel ?obs ?profile ?(slots = 1) (sq : Rewrite
     (decomp_hook st ~r:Reg.ra ~push_form:true);
   (vm, stats)
 
-let run ?cost ?fuel ?obs ?slots sq ~input =
-  let vm, stats = launch ?cost ?fuel ?obs ?slots sq ~input in
+let run ?cost ?fuel ?trace ?slots sq ~input =
+  let vm, stats = launch ?cost ?fuel ?trace ?slots sq ~input in
   (Vm.run vm, stats)

@@ -55,17 +55,10 @@ val stats_to_json : stats -> Report.Json.t
     [per_region_cycles] arrays — the single serialisation used by
     [squashc] and the bench harness. *)
 
-val observe_stats : Obs.t -> stats -> unit
-(** Replay end-of-run aggregates into a metrics registry (counters
-    including [runtime.cache_hits] / [runtime.cache_misses] /
-    [runtime.cache_evictions], the [runtime.max_live_stubs] gauge, the
-    region re-decompression histogram).  For runs that happened elsewhere
-    — e.g. a cached timing result — where live events never fired. *)
-
 val launch :
   ?cost:Cost.model ->
   ?fuel:int ->
-  ?obs:Obs.t ->
+  ?trace:Obs.Trace.t ->
   ?profile:bool ->
   ?slots:int ->
   Rewrite.t ->
@@ -84,11 +77,11 @@ val launch :
     text, mirroring a real sampled-PC profiler that cannot attribute
     scratch-buffer PCs.
     [slots] (default 1) is the number of decompressed-region cache slots;
-    slot [s] occupies [buffer_base + 4·buffer_words·s].  With [obs], the
-    runtime emits decompression begin/end, buffer-entry, cache-evict and
-    stub create/reuse/free events (timestamped in simulated cycles) and
-    bumps the [runtime.*] metrics; without it the only overhead is one
-    branch per instrumented site, and the outcome is byte-identical.
+    slot [s] occupies [buffer_base + 4·buffer_words·s].  With [trace], the
+    runtime emits decompression-end, buffer-entry, cache-evict and stub
+    create/reuse/free events (timestamped in simulated cycles); without it
+    the only overhead is one branch per instrumented site, and the outcome
+    is byte-identical.
     @raise Invalid_argument if [slots < 1], if the slot array would
     overrun the buffer area (which ends at the data segment), or if the
     text reaches past [Rewrite.blob_base]
@@ -97,7 +90,7 @@ val launch :
 val run :
   ?cost:Cost.model ->
   ?fuel:int ->
-  ?obs:Obs.t ->
+  ?trace:Obs.Trace.t ->
   ?slots:int ->
   Rewrite.t ->
   input:string ->

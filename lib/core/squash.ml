@@ -29,14 +29,14 @@ type result = {
 }
 
 let run ?(options = default_options) ?(setjmp_callers = []) ?(check_each = false)
-    ?(lint = false) ?(prove = false) ?obs (p : Prog.t) prof =
+    ?(lint = false) ?(prove = false) ?trace (p : Prog.t) prof =
   let state = Pass.init ~options ~setjmp_callers p prof in
   let passes =
     Pipeline.of_options options
     @ (if lint then [ Pipeline.lint_pass ] else [])
     @ (if prove then [ Pipeline.prove_pass ] else [])
   in
-  let state, stats = Pipeline.execute ~check_each ?obs ~passes state in
+  let state, stats = Pipeline.execute ~check_each ?trace ~passes state in
   let squashed = Pass.get_squashed ~who:"Squash.run" state in
   {
     squashed;

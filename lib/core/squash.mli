@@ -55,7 +55,7 @@ type result = {
 
 val run :
   ?options:options -> ?setjmp_callers:string list -> ?check_each:bool ->
-  ?lint:bool -> ?prove:bool -> ?obs:Obs.t ->
+  ?lint:bool -> ?prove:bool -> ?trace:Obs.Trace.t ->
   Prog.t -> Profile.t -> result
 (** A thin composition of the squash pass list: equivalent to
     [Pipeline.execute ~passes:(Pipeline.of_options options)] over
@@ -75,7 +75,7 @@ val run :
     diagnostic.  [prove] appends {!Pipeline.prove_pass}, the symbolic
     equivalence prover ({!Prove}) over two cache slots, raising
     {!Pipeline.Check_failed} as pass ["prove"] on any unproved region.
-    [obs] receives pass-span events (see {!Pipeline.execute}). *)
+    [trace] receives pass-span events (see {!Pipeline.execute}). *)
 
 val size_reduction : result -> float
 (** [(original - squashed) / original], the quantity of Figures 6/7(a). *)

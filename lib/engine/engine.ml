@@ -126,7 +126,7 @@ let queue_pop qu =
   in
   go ()
 
-let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
+let run ?jobs ?trace ?(classify = fun e -> (`Exception, Printexc.to_string e))
     ?(label = fun i -> Printf.sprintf "job-%d" i) thunks =
   let thunks = Array.of_list thunks in
   let n = Array.length thunks in
@@ -143,7 +143,6 @@ let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
     in
     Array.init n (fun i -> { label = label i; cost = no_cost; worker = 0 })
   in
-  let submitted = Array.make n 0.0 in
   let t0 = Obs.Clock.now () in
   let run_one ~worker i =
     let result, cost =
@@ -156,31 +155,23 @@ let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
     in
     results.(i) <- result;
     job_stats.(i) <- { (job_stats.(i)) with cost; worker };
-    match obs with
+    match trace with
     | None -> ()
-    | Some o ->
-      let { Obs.start; elapsed_s; alloc_words; _ } = cost in
-      let ok = Result.is_ok result in
-      Obs.event o
+    | Some t ->
+      let { Obs.start; elapsed_s; _ } = cost in
+      Obs.Trace.emit t
         { ts = Obs.Event.Mono (start +. elapsed_s);
           payload =
-            Obs.Event.Job_finish { label = label i; worker; ok; wall_s = elapsed_s } };
-      Obs.incr o (if ok then "engine.jobs_succeeded" else "engine.jobs_failed");
-      Obs.observe o "engine.queue_wait_us"
-        (int_of_float (1e6 *. Float.max 0.0 (start -. submitted.(i))));
-      Obs.observe o "engine.job_wall_us" (int_of_float (1e6 *. elapsed_s));
-      Obs.observe o "engine.job_alloc_words" alloc_words;
-      Obs.max_gauge o "gc.top_heap_words" (Gc.quick_stat ()).Gc.top_heap_words
+            Obs.Event.Job_finish
+              { label = label i; worker; ok = Result.is_ok result; wall_s = elapsed_s } }
   in
   let submit i =
-    submitted.(i) <- Obs.Clock.now ();
-    match obs with
+    match trace with
     | None -> ()
-    | Some o ->
-      Obs.event o
-        { ts = Obs.Event.Mono submitted.(i);
-          payload = Obs.Event.Job_submit { label = label i } };
-      Obs.incr o "engine.jobs_submitted"
+    | Some t ->
+      Obs.Trace.emit t
+        { ts = Obs.Event.Mono (Obs.Clock.now ());
+          payload = Obs.Event.Job_submit { label = label i } }
   in
   let qu = queue_create () in
   if pool = 1 then

@@ -64,7 +64,7 @@ val default_jobs : unit -> int
 
 val run :
   ?jobs:int ->
-  ?obs:Obs.t ->
+  ?trace:Obs.Trace.t ->
   ?classify:(exn -> error_kind * string) ->
   ?label:(int -> string) ->
   (unit -> 'a) list ->
@@ -72,8 +72,5 @@ val run :
 (** Evaluate every thunk; the result array is in submission order.
     [classify] turns an escaped exception into a structured error (default:
     [`Exception] with [Printexc.to_string]); [label] names job [i] for
-    error messages and per-job stats.  [obs] receives submit and finish
-    job events (monotonic host clock), the [engine.jobs_*] counters, the
-    [engine.job_wall_us] / [engine.job_alloc_words] /
-    [engine.queue_wait_us] histograms and the [gc.top_heap_words]
-    max-gauge. *)
+    error messages and per-job stats.  [trace] receives submit and finish
+    job events (monotonic host clock). *)

@@ -43,9 +43,6 @@ let jobs_override : int option ref = ref None
 let set_jobs j = jobs_override := j
 let jobs () = match !jobs_override with Some j -> j | None -> Engine.default_jobs ()
 
-let obs_sink : Obs.t option ref = ref None
-let set_obs o = obs_sink := o
-
 let eval_cell c =
   let p = Exp_data.prepare c.wl in
   let r = Exp_data.squash_result ~pspec:c.pspec p c.options in
@@ -55,13 +52,6 @@ let eval_cell c =
         Exp_data.timing_run ~slots:c.slots ~pspec:c.pspec ~on:c.run_on p r
       in
       let baseline = Exp_data.baseline_timing ~on:c.run_on p in
-      (* The timing run may have been served from the memo, in which case
-         no live runtime events fired; replaying the aggregates keeps the
-         metrics snapshot the same whether this cell computed the run or
-         reused it. *)
-      (match !obs_sink with
-      | None -> ()
-      | Some o -> Runtime.observe_stats o stats);
       ( Some outcome.Vm.cycles,
         Some baseline.Vm.cycles,
         Some (float_of_int outcome.Vm.cycles /. float_of_int baseline.Vm.cycles),
@@ -98,11 +88,11 @@ let classify = function
   | Failure msg -> (`Failed, msg)
   | e -> (`Exception, Printexc.to_string e)
 
-let run ?jobs:j cells =
+let run ?jobs:j ?trace cells =
   let jobs = match j with Some j -> j | None -> jobs () in
   let arr = Array.of_list cells in
   let results, stats =
-    Engine.run ~jobs ?obs:!obs_sink ~classify
+    Engine.run ~jobs ?trace ~classify
       ~label:(fun i -> cell_label arr.(i))
       (List.map (fun c () -> eval_cell c) cells)
   in

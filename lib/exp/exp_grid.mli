@@ -55,13 +55,6 @@ val set_jobs : int option -> unit
 (** Fix the pool size used when [run]'s [?jobs] is omitted ([None] returns
     to {!Engine.default_jobs}). *)
 
-val set_obs : Obs.t option -> unit
-(** Install an observability sink for subsequent {!run} calls: the engine
-    emits job submit/start/finish spans into it, and each timing cell
-    replays its runtime aggregates into the metrics registry (via
-    {!Runtime.observe_stats}, so memoized and live evaluations produce the
-    same snapshot). *)
-
 val jobs : unit -> int
 
 val eval_cell : cell -> metrics
@@ -71,8 +64,10 @@ val classify : exn -> Engine.error_kind * string
 (** Map [Vm.Trap] (fuel vs machine trap), [Pipeline.Check_failed],
     [Bitio.Corrupt_stream] and [Failure] to structured error kinds. *)
 
-val run : ?jobs:int -> cell list -> results * Engine.stats
-(** Evaluate every cell; results are in submission order. *)
+val run : ?jobs:int -> ?trace:Obs.Trace.t -> cell list -> results * Engine.stats
+(** Evaluate every cell; results are in submission order.  [trace]
+    receives the engine's job submit and finish events (see
+    {!Engine.run}). *)
 
 val failures : results -> Engine.job_error list
 

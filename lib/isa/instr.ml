@@ -266,9 +266,6 @@ let decode w =
   | o when o = op_sentinel -> Ok Sentinel
   | o -> Error (Printf.sprintf "unknown opcode 0x%02x in word 0x%08x" o w)
 
-let decode_exn w =
-  match decode w with Ok i -> i | Error msg -> invalid_arg ("Instr.decode_exn: " ^ msg)
-
 (* Field streams *)
 
 type stream =
@@ -316,8 +313,6 @@ let stream_name = function
   | Jmp_rb -> "jmp_rb"
   | Jmp_hint -> "jmp_hint"
   | Sys_func -> "sys_func"
-
-let pp_stream ppf s = Format.pp_print_string ppf (stream_name s)
 
 let opcode_value instr =
   match instr with

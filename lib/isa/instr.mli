@@ -92,8 +92,6 @@ val decode : Word.t -> (t, string) result
     needs to read it back from the compressed stream) but the VM refuses to
     execute it. *)
 
-val decode_exn : Word.t -> t
-
 (** {1 Field streams (paper, Section 3)} *)
 
 type stream =
@@ -120,7 +118,6 @@ val equal_stream : stream -> stream -> bool
 
 val stream_index : stream -> int
 val stream_name : stream -> string
-val pp_stream : Format.formatter -> stream -> unit
 
 val opcode_value : t -> int
 (** The value contributed to the [Opcode] stream.  This is the 6-bit major

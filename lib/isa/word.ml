@@ -4,7 +4,6 @@ exception Division_trap
 
 let mask = 0xFFFF_FFFF
 let of_int v = v land mask
-let to_unsigned v = v
 
 let to_signed v =
   if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v

@@ -19,9 +19,6 @@ val of_int : int -> t
 val to_signed : t -> int
 (** Signed (two's-complement) value in [-2{^31}, 2{^31}). *)
 
-val to_unsigned : t -> int
-(** Identity on canonical words; exposed for symmetry. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

@@ -384,10 +384,3 @@ let parse src =
     | _ -> go (parse_top st :: acc)
   in
   go []
-
-let parse_expr src =
-  let st = { toks = Mc_lexer.tokenize src } in
-  let e = parse_expression st in
-  match (peek st).Mc_lexer.tok with
-  | Mc_lexer.EOF -> e
-  | tok -> err (cur_pos st) "trailing input: %s" (Mc_lexer.token_name tok)

@@ -5,6 +5,3 @@ exception Parse_error of Mc_ast.pos * string
 
 val parse : string -> Mc_ast.program
 (** @raise Parse_error and @raise Mc_lexer.Lex_error on bad input. *)
-
-val parse_expr : string -> Mc_ast.expr
-(** Parse a single expression (for tests). *)

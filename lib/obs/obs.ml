@@ -69,7 +69,7 @@ module Event = struct
     | Job_finish _ -> "job_finish"
 
   (* The payload fields as JSON key/value pairs (shared by the JSONL
-     exporter, the Chrome "args" object and the sink snapshot). *)
+     exporter and the Chrome "args" object). *)
   let fields e =
     let open Report.Json in
     match e.payload with
@@ -282,203 +282,3 @@ module Trace = struct
       (events t);
     Buffer.contents b
 end
-
-module Metrics = struct
-  type histogram = {
-    mutable count : int;
-    mutable sum : int;
-    mutable min_v : int;
-    mutable max_v : int;
-    buckets : int array;  (* log₂ buckets; index via [bucket_of]. *)
-  }
-
-  type t = {
-    m : Mutex.t;
-    counters : (string, int ref) Hashtbl.t;
-    gauges : (string, int ref) Hashtbl.t;
-    histograms : (string, histogram) Hashtbl.t;
-  }
-
-  let nbuckets = 63
-
-  let create () =
-    { m = Mutex.create (); counters = Hashtbl.create 16;
-      gauges = Hashtbl.create 8; histograms = Hashtbl.create 8 }
-
-  let with_lock t f =
-    Mutex.lock t.m;
-    let v = f () in
-    Mutex.unlock t.m;
-    v
-
-  let find_ref tbl name =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.replace tbl name r;
-      r
-
-  let incr t ?(by = 1) name =
-    with_lock t (fun () ->
-        let r = find_ref t.counters name in
-        r := !r + by)
-
-  let max_gauge t name v =
-    with_lock t (fun () ->
-        let r = find_ref t.gauges name in
-        if v > !r then r := v)
-
-  let bucket_of v =
-    let rec go v i = if v <= 1 then i else go (v lsr 1) (i + 1) in
-    if v <= 0 then 0 else min (nbuckets - 1) (go v 0)
-
-  let observe t name v =
-    with_lock t (fun () ->
-        let h =
-          match Hashtbl.find_opt t.histograms name with
-          | Some h -> h
-          | None ->
-            let h =
-              { count = 0; sum = 0; min_v = max_int; max_v = min_int;
-                buckets = Array.make nbuckets 0 }
-            in
-            Hashtbl.replace t.histograms name h;
-            h
-        in
-        h.count <- h.count + 1;
-        h.sum <- h.sum + v;
-        if v < h.min_v then h.min_v <- v;
-        if v > h.max_v then h.max_v <- v;
-        let b = bucket_of v in
-        h.buckets.(b) <- h.buckets.(b) + 1)
-
-  let counter_value t name =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
-
-  let histogram_count t name =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.histograms name with
-        | Some h -> h.count
-        | None -> 0)
-
-  let histogram_sum t name =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.histograms name with
-        | Some h -> h.sum
-        | None -> 0)
-
-  (* Quantile estimation from the log₂ buckets: walk the CDF to the
-     bucket holding the target rank and interpolate linearly inside its
-     [lo, hi] value range.  The estimate is exact when all samples in the
-     target bucket share one value and within a factor of two otherwise —
-     the usual latency-histogram contract — and is clamped to the
-     observed min/max so tight distributions report tight quantiles. *)
-  let quantile_of h q =
-    if h.count = 0 then None
-    else begin
-      let rank = q *. float_of_int h.count in
-      let rec go i cum =
-        if i >= nbuckets then float_of_int h.max_v
-        else
-          let c = h.buckets.(i) in
-          if c > 0 && float_of_int (cum + c) >= rank then begin
-            let lo = if i = 0 then 0 else 1 lsl i in
-            let hi = (1 lsl (i + 1)) - 1 in
-            let frac =
-              let f = (rank -. float_of_int cum) /. float_of_int c in
-              Float.max 0.0 (Float.min 1.0 f)
-            in
-            float_of_int lo +. (frac *. float_of_int (hi - lo))
-          end
-          else go (i + 1) (cum + c)
-      in
-      let v = go 0 0 in
-      Some (Float.max (float_of_int h.min_v) (Float.min (float_of_int h.max_v) v))
-    end
-
-  let histogram_quantile t name q =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.histograms name with
-        | Some h -> quantile_of h q
-        | None -> None)
-
-  let sorted_bindings tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let histogram_json h =
-    let open Report.Json in
-    let buckets =
-      List.filter_map
-        (fun i ->
-          if h.buckets.(i) = 0 then None
-          else
-            let lo = if i = 0 then 0 else 1 lsl i in
-            let hi = (1 lsl (i + 1)) - 1 in
-            Some
-              (Obj [ ("lo", Int lo); ("hi", Int hi); ("count", Int h.buckets.(i)) ]))
-        (List.init nbuckets Fun.id)
-    in
-    let quant q =
-      match quantile_of h q with None -> Null | Some v -> Float v
-    in
-    Obj
-      [ ("count", Int h.count); ("sum", Int h.sum);
-        ("min", if h.count = 0 then Null else Int h.min_v);
-        ("max", if h.count = 0 then Null else Int h.max_v);
-        ("p50", quant 0.50); ("p95", quant 0.95); ("p99", quant 0.99);
-        ("buckets", List buckets) ]
-
-  let to_json t =
-    let open Report.Json in
-    with_lock t (fun () ->
-        Obj
-          [ ( "counters",
-              Obj
-                (List.map
-                   (fun (k, r) -> (k, Int !r))
-                   (sorted_bindings t.counters)) );
-            ( "gauges",
-              Obj
-                (List.map (fun (k, r) -> (k, Int !r)) (sorted_bindings t.gauges)) );
-            ( "histograms",
-              Obj
-                (List.map
-                   (fun (k, h) -> (k, histogram_json h))
-                   (sorted_bindings t.histograms)) ) ])
-end
-
-type t = { trace : Trace.t option; metrics : Metrics.t option }
-
-let create ?trace ?metrics () = { trace; metrics }
-
-let full ?capacity () =
-  { trace = Some (Trace.create ?capacity ());
-    metrics = Some (Metrics.create ()) }
-
-let event t e = match t.trace with Some tr -> Trace.emit tr e | None -> ()
-
-let incr t ?by name =
-  match t.metrics with Some m -> Metrics.incr m ?by name | None -> ()
-
-let max_gauge t name v =
-  match t.metrics with Some m -> Metrics.max_gauge m name v | None -> ()
-
-let observe t name v =
-  match t.metrics with Some m -> Metrics.observe m name v | None -> ()
-
-let snapshot_json t =
-  let open Report.Json in
-  Obj
-    [ ( "metrics",
-        match t.metrics with Some m -> Metrics.to_json m | None -> Null );
-      ( "trace",
-        match t.trace with
-        | None -> Null
-        | Some tr ->
-          Obj
-            [ ("emitted", Int (Trace.emitted tr));
-              ("dropped", Int (Trace.dropped tr));
-              ("events", List (List.map Event.to_json (Trace.events tr))) ] ) ]

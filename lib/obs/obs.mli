@@ -1,9 +1,11 @@
-(** End-to-end observability: typed trace events and a metrics registry.
+(** End-to-end observability: typed trace events and a host-span meter.
 
-    The subsystem has two halves, both optional and both designed so that
-    {e disabled means free}: every instrumented call site in the VM, the
-    squash runtime, the pass pipeline and the experiment engine guards its
-    emission behind a single branch on an optional {!t} sink.
+    The counts themselves live in each layer's stats record
+    ({!Runtime.stats}, {!Vm.outcome}, [Pass.stats], [Engine.stats]); the
+    trace is the one sink for what happened when.  It is optional and
+    {e disabled means free}: every instrumented call site in the squash
+    runtime, the pass pipeline and the experiment engine guards its
+    emission behind a single branch on an optional {!Trace.t}.
 
     {b Trace} is one bounded ring buffer of {!Event.t} values behind one
     mutex.  When the ring wraps, its oldest events are overwritten and
@@ -14,7 +16,7 @@
     a span.  Export sorts events by (clock track, timestamp, emission
     order), so engine workers emitting concurrently cannot reorder an
     export whose timestamps differ.  Timestamps are heterogeneous by
-    design: the VM side stamps events in {e simulated cycles} (the clock
+    design: the runtime stamps events in {e simulated cycles} (the clock
     the paper's overhead model runs on), the pipeline and engine stamp in
     host {e monotonic} seconds ({!Clock}).  Exporters render to the Chrome
     trace-event JSON format (loadable in Perfetto / [chrome://tracing];
@@ -23,12 +25,7 @@
     version, the drop accounting and the monotonic clock's epoch offset).
 
     {b Measurement}: {!measure} is the one meter for a host span — its
-    start and duration on {!Clock}, and the words it allocated.
-
-    {b Metrics} is a registry of named counters, gauges and log₂-bucketed
-    histograms with p50/p95/p99 quantile estimates, snapshotting to
-    {!Report.Json}.  All operations are thread-safe (the engine emits
-    from multiple domains). *)
+    start and duration on {!Clock}, and the words it allocated. *)
 
 module Clock : sig
   val now : unit -> float
@@ -126,58 +123,3 @@ module Trace : sig
   (** One JSON object per line; the first line is a header with the schema
       version, the drop accounting and the epoch offset. *)
 end
-
-module Metrics : sig
-  type t
-
-  val create : unit -> t
-
-  val incr : t -> ?by:int -> string -> unit
-  (** Bump a counter (created at 0 on first use). *)
-
-  val max_gauge : t -> string -> int -> unit
-  (** Gauge that keeps the maximum of all reported values. *)
-
-  val observe : t -> string -> int -> unit
-  (** Record a (non-negative) sample into a log₂-bucketed histogram:
-      bucket [i ≥ 1] holds values in [[2^i, 2^(i+1))]; bucket 0 holds 0
-      and 1. *)
-
-  val counter_value : t -> string -> int
-  (** 0 when the counter was never bumped. *)
-
-  val histogram_count : t -> string -> int
-  val histogram_sum : t -> string -> int
-
-  val histogram_quantile : t -> string -> float -> float option
-  (** [histogram_quantile t name q] estimates the [q]-quantile (q ∈
-      [0, 1]) by linear interpolation inside the log₂ bucket holding the
-      target rank, clamped to the observed min/max; [None] for an empty
-      or unknown histogram.  Every snapshot reports p50/p95/p99 through
-      this estimator. *)
-
-  val to_json : t -> Report.Json.t
-  (** [{"counters": {...}, "gauges": {...}, "histograms": {name:
-      {"count", "sum", "min", "max", "p50", "p95", "p99",
-      "buckets": [{"lo","hi","count"}]}}}], keys sorted for deterministic
-      output. *)
-end
-
-type t = { trace : Trace.t option; metrics : Metrics.t option }
-(** A sink: either half may be absent.  Instrumented code holds a
-    [t option] and does nothing — one branch — when it is [None]. *)
-
-val create : ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
-
-val full : ?capacity:int -> unit -> t
-(** Both halves enabled. *)
-
-val event : t -> Event.t -> unit
-val incr : t -> ?by:int -> string -> unit
-val max_gauge : t -> string -> int -> unit
-val observe : t -> string -> int -> unit
-
-val snapshot_json : t -> Report.Json.t
-(** [{"metrics": ..., "trace": {"emitted", "dropped", "events": [...]}}]
-    with absent halves rendered as [null]; trace events use the JSONL
-    object shape. *)

@@ -72,12 +72,6 @@ let instr_count t = List.fold_left (fun acc f -> acc + func_instr_count f) 0 t.f
 let text_words t =
   List.fold_left (fun acc f -> acc + func_instr_count f + Func.table_words f) 0 t.funcs
 
-let block_calls_syscall (b : Block.t) sc =
-  let code = Syscall.to_code sc in
-  List.exists
-    (function Instr (Instr.Sys f) -> f = code | Instr _ | Load_addr _ -> false)
-    b.Block.items
-
 let successors (f : Func.t) i =
   let b = f.blocks.(i) in
   match b.term with

@@ -107,7 +107,5 @@ val successors : Func.t -> int -> dest list
     to [return_to]; indirect jumps through a known table yield its entries;
     unknown indirect jumps yield all blocks, conservatively). *)
 
-val block_calls_syscall : Block.t -> Syscall.t -> bool
-
 val pp : Format.formatter -> t -> unit
 val pp_func : Format.formatter -> Func.t -> unit

@@ -24,7 +24,6 @@ type t = {
   hooks : (int, t -> unit) Hashtbl.t;
   mutable heap_break : int;
   mutable hook_invocations : int;
-  mutable obs : Obs.t option;
   sampler : sampler option;
   mutable sample_countdown : int;
   mutable sample_rng : int;
@@ -115,7 +114,6 @@ let create ?(cost = Cost.default) ?(fuel = 1_000_000_000) ?(profile = false) ?sa
       hooks = Hashtbl.create 8;
       heap_break = data_base + (4 * data_words);
       hook_invocations = 0;
-      obs = None;
       sampler;
       sample_countdown = 0;
       sample_rng = 0;
@@ -181,7 +179,6 @@ let add_cycles t n = t.cycles <- t.cycles + n
 let icount t = t.icount
 let cycles t = t.cycles
 let hook_invocations t = t.hook_invocations
-let set_obs t o = t.obs <- Some o
 let counts t = t.counts
 let sample_hits t = t.sample_hits
 let sample_skips t = t.sample_skips
@@ -334,14 +331,10 @@ let record_count t =
       if t.sample_countdown <= 0 then begin
         t.sample_countdown <- next_stride t s;
         t.sample_hits <- t.sample_hits + 1;
-        (match t.obs with None -> () | Some o -> Obs.incr o "vm.sample_hits");
         let idx = (t.pc - t.text_base) lsr 2 in
         if idx >= 0 && idx < t.text_words then arr.(idx) <- arr.(idx) + 1
       end
-      else begin
-        t.sample_skips <- t.sample_skips + 1;
-        match t.obs with None -> () | Some o -> Obs.incr o "vm.sample_skips"
-      end)
+      else t.sample_skips <- t.sample_skips + 1)
 
 let rec step t =
   if not t.running then false
@@ -350,9 +343,6 @@ let rec step t =
        match Hashtbl.find_opt t.hooks t.pc with
        | Some f ->
          t.hook_invocations <- t.hook_invocations + 1;
-         (match t.obs with
-         | None -> ()
-         | Some o -> Obs.incr o "vm.hook_invocations");
          f t
        | None -> exec_one t
      else exec_one t);

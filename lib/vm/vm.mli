@@ -106,12 +106,6 @@ val icount : t -> int
 val cycles : t -> int
 val hook_invocations : t -> int
 
-val set_obs : t -> Obs.t -> unit
-(** Attach an observability sink.  The VM itself only bumps the
-    ["vm.hook_invocations"] counter; richer events are emitted by the hook
-    intrinsics (see {!Runtime}).  When unset the only per-hook overhead is
-    a single branch. *)
-
 val install_hook : t -> addr:int -> (t -> unit) -> unit
 (** Register an intrinsic at a word-aligned text address.  When the PC
     reaches it the intrinsic runs instead of an instruction fetch; it must
@@ -123,10 +117,8 @@ val counts : t -> int array option
     {!sampler} these are sampled hit counts, not exact executions. *)
 
 val sample_hits : t -> int
-(** Instructions the sampler chose to record (0 without a sampler).  Also
-    bumped on the obs sink as ["vm.sample_hits"]. *)
+(** Instructions the sampler chose to record (0 without a sampler). *)
 
 val sample_skips : t -> int
 (** Instructions the sampler skipped (0 without a sampler; with one,
-    [sample_hits + sample_skips] equals the profiled instruction count).
-    Also bumped on the obs sink as ["vm.sample_skips"]. *)
+    [sample_hits + sample_skips] equals the profiled instruction count). *)

@@ -78,6 +78,56 @@ let tests =
               | _ -> Alcotest.fail "traceEvents is not a list"
             in
             Alcotest.(check bool) "has X events" true (List.mem "X" phases)));
+    Alcotest.test_case "squash --stats-json writes the stats ledgers" `Quick
+      (fun () ->
+        with_output ".json" (fun path ->
+            let ((_, stdout, _) as r) =
+              run
+                [ "squash"; "gsm"; "--theta"; "0.01"; "--verify";
+                  "--stats-json"; path ]
+            in
+            check_exit "squash --verify --stats-json" 0 r;
+            let verified =
+              List.find
+                (fun l -> contains l "verified: identical behaviour")
+                (String.split_on_char '\n' stdout)
+            in
+            let decomps =
+              Scanf.sscanf verified "verified: identical behaviour; %d decompressions"
+                Fun.id
+            in
+            let doc =
+              Json_check.parse
+                (In_channel.with_open_bin path In_channel.input_all)
+            in
+            Alcotest.(check (option string)) "schema"
+              (Some "pgcc-squash-stats-v5")
+              (match Json_check.member "schema" doc with
+              | Some (Json_check.Str s) -> Some s
+              | _ -> None);
+            Alcotest.(check bool) "no metrics key" true
+              (Json_check.member "metrics" doc = None);
+            Alcotest.(check bool) "runtime.decompressions" true
+              (Json_check.member_exn "decompressions"
+                 (Json_check.member_exn "runtime" doc)
+              = Json_check.Num (float_of_int decomps));
+            match
+              Json_check.member_exn "passes"
+                (Json_check.member_exn "pipeline" doc)
+            with
+            | Json_check.Arr (_ :: _ as passes) ->
+              List.iter
+                (fun p ->
+                  let name =
+                    match Json_check.member "name" p with
+                    | Some (Json_check.Str s) -> s
+                    | _ -> "?"
+                  in
+                  match Json_check.member_exn "alloc_words" p with
+                  | Json_check.Num w when w > 0.0 -> ()
+                  | _ -> Alcotest.failf "pass %s: alloc_words not > 0" name)
+                passes
+            | _ -> Alcotest.fail "pipeline.passes is not a non-empty list"));
     Alcotest.test_case "a .jsonl trace name writes JSONL" `Quick (fun () ->
         with_output ".jsonl" (fun path ->
             check_exit "squash --trace t.jsonl" 0

@@ -1,6 +1,6 @@
-(* Observability: the trace ring buffer, the metrics registry, both
-   exporters, the instrumented VM/runtime/pipeline/engine sites, and the
-   zero-cost-when-off guarantee across the stock workloads. *)
+(* Observability: the trace ring buffer, both exporters, the instrumented
+   runtime/pipeline/engine sites, and the zero-cost-when-off guarantee
+   across the stock workloads. *)
 
 let fuel = 500_000_000
 
@@ -220,135 +220,6 @@ let exporter_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry. *)
-
-let metrics_tests =
-  [
-    Alcotest.test_case "counters accumulate" `Quick (fun () ->
-        let m = Obs.Metrics.create () in
-        Obs.Metrics.incr m "a";
-        Obs.Metrics.incr m ~by:41 "a";
-        Alcotest.(check int) "a" 42 (Obs.Metrics.counter_value m "a");
-        Alcotest.(check int) "unknown" 0 (Obs.Metrics.counter_value m "b"));
-    Alcotest.test_case "max_gauge keeps the maximum" `Quick (fun () ->
-        let m = Obs.Metrics.create () in
-        Obs.Metrics.max_gauge m "g" 5;
-        Obs.Metrics.max_gauge m "g" 3;
-        let doc = Json_check.parse (Report.Json.to_string (Obs.Metrics.to_json m)) in
-        let gauges = Json_check.member_exn "gauges" doc in
-        Alcotest.(check (float 0.0))
-          "kept max" 5.0
-          (num_exn (Json_check.member_exn "g" gauges));
-        Obs.Metrics.max_gauge m "g" 9;
-        let doc = Json_check.parse (Report.Json.to_string (Obs.Metrics.to_json m)) in
-        Alcotest.(check (float 0.0))
-          "raised" 9.0
-          (num_exn (Json_check.member_exn "g" (Json_check.member_exn "gauges" doc))));
-    Alcotest.test_case "histograms bucket by powers of two" `Quick (fun () ->
-        let m = Obs.Metrics.create () in
-        List.iter (Obs.Metrics.observe m "h") [ 0; 1; 2; 3; 4 ];
-        Alcotest.(check int) "count" 5 (Obs.Metrics.histogram_count m "h");
-        Alcotest.(check int) "sum" 10 (Obs.Metrics.histogram_sum m "h");
-        let doc = Json_check.parse (Report.Json.to_string (Obs.Metrics.to_json m)) in
-        let h =
-          Json_check.member_exn "h" (Json_check.member_exn "histograms" doc)
-        in
-        Alcotest.(check (float 0.0))
-          "min" 0.0
-          (num_exn (Json_check.member_exn "min" h));
-        Alcotest.(check (float 0.0))
-          "max" 4.0
-          (num_exn (Json_check.member_exn "max" h));
-        let buckets =
-          match Json_check.member_exn "buckets" h with
-          | Json_check.Arr bs ->
-            List.map
-              (fun b ->
-                ( int_of_float (num_exn (Json_check.member_exn "lo" b)),
-                  int_of_float (num_exn (Json_check.member_exn "hi" b)),
-                  int_of_float (num_exn (Json_check.member_exn "count" b)) ))
-              bs
-          | _ -> Alcotest.fail "buckets not a list"
-        in
-        (* 0 and 1 share bucket 0; 2 and 3 fill [2,3]; 4 opens [4,7]. *)
-        Alcotest.(check (list (triple int int int)))
-          "buckets"
-          [ (0, 1, 2); (2, 3, 2); (4, 7, 1) ]
-          buckets);
-    Alcotest.test_case "quantiles on a concentrated distribution" `Quick
-      (fun () ->
-        (* All mass on one value: every quantile is clamped to it. *)
-        let m = Obs.Metrics.create () in
-        for _ = 1 to 100 do
-          Obs.Metrics.observe m "h" 5
-        done;
-        List.iter
-          (fun q ->
-            Alcotest.(check (option (float 0.0)))
-              (Printf.sprintf "q=%.2f" q)
-              (Some 5.0)
-              (Obs.Metrics.histogram_quantile m "h" q))
-          [ 0.0; 0.5; 0.95; 0.99; 1.0 ];
-        Alcotest.(check (option (float 0.0)))
-          "empty histogram" None
-          (Obs.Metrics.histogram_quantile m "missing" 0.5));
-    Alcotest.test_case "quantiles on a skewed distribution" `Quick (fun () ->
-        (* 90 fast observations at 1, 10 slow at 1000: the median sits in
-           the fast bucket, the tail quantiles in the slow one. *)
-        let m = Obs.Metrics.create () in
-        for _ = 1 to 90 do
-          Obs.Metrics.observe m "h" 1
-        done;
-        for _ = 1 to 10 do
-          Obs.Metrics.observe m "h" 1000
-        done;
-        let q p = Option.get (Obs.Metrics.histogram_quantile m "h" p) in
-        Alcotest.(check (float 0.0)) "p50 fast" 1.0 (q 0.5);
-        Alcotest.(check bool) "p95 in the slow bucket" true (q 0.95 >= 512.0);
-        Alcotest.(check bool) "p99 below the observed max" true
-          (q 0.99 <= 1000.0);
-        Alcotest.(check (float 0.0)) "p100 is the max" 1000.0 (q 1.0);
-        (* The snapshot carries the estimates alongside the buckets. *)
-        let doc =
-          Json_check.parse (Report.Json.to_string (Obs.Metrics.to_json m))
-        in
-        let h =
-          Json_check.member_exn "h" (Json_check.member_exn "histograms" doc)
-        in
-        Alcotest.(check (float 0.0))
-          "p50 in snapshot" 1.0
-          (num_exn (Json_check.member_exn "p50" h));
-        Alcotest.(check bool) "p99 in snapshot" true
-          (num_exn (Json_check.member_exn "p99" h) >= 512.0));
-    Alcotest.test_case "quantile interpolates within a bucket" `Quick
-      (fun () ->
-        (* Four values spread across bucket [8,15]: interior quantiles stay
-           inside the bucket and respect min/max clamps. *)
-        let m = Obs.Metrics.create () in
-        List.iter (Obs.Metrics.observe m "h") [ 8; 10; 12; 15 ];
-        let q p = Option.get (Obs.Metrics.histogram_quantile m "h" p) in
-        Alcotest.(check bool) "p50 inside bucket" true
-          (q 0.5 >= 8.0 && q 0.5 <= 15.0);
-        Alcotest.(check (float 0.0)) "p0 is the min" 8.0 (q 0.0);
-        Alcotest.(check (float 0.0)) "p100 is the max" 15.0 (q 1.0));
-    Alcotest.test_case "empty registry serialises cleanly" `Quick (fun () ->
-        let m = Obs.Metrics.create () in
-        let doc = Json_check.parse (Report.Json.to_string (Obs.Metrics.to_json m)) in
-        Alcotest.(check bool) "empty counters" true
-          (Json_check.member_exn "counters" doc = Json_check.Obj []));
-    Alcotest.test_case "an empty sink is inert" `Quick (fun () ->
-        let o = Obs.create () in
-        Obs.event o (pass_ev 0);
-        Obs.incr o "x";
-        Obs.observe o "y" 3;
-        let doc = Json_check.parse (Report.Json.to_string (Obs.snapshot_json o)) in
-        Alcotest.(check bool) "metrics null" true
-          (Json_check.member_exn "metrics" doc = Json_check.Null);
-        Alcotest.(check bool) "trace null" true
-          (Json_check.member_exn "trace" doc = Json_check.Null));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Instrumented sites: pipeline pass spans and engine job spans. *)
 
 let compile src =
@@ -362,19 +233,19 @@ int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
 int main() { putint(fib(14)); return 0; }
 |}
 
-let squash_fib ?obs () =
+let squash_fib ?trace () =
   let p, _ = Squeeze.run (compile fib_src) in
   let profile, _ = Profile.collect p ~input:"" in
   let options = { Squash.default_options with Squash.theta = 1.0 } in
-  (Squash.run ~options ?obs p profile, profile)
+  (Squash.run ~options ?trace p profile, profile)
 
 let span_tests =
   [
     Alcotest.test_case "the pipeline emits one pass_end per pass" `Quick
       (fun () ->
-        let obs = Obs.full () in
-        let r, _ = squash_fib ~obs () in
-        let evs = Obs.Trace.events (Option.get obs.Obs.trace) in
+        let trace = Obs.Trace.create () in
+        let r, _ = squash_fib ~trace () in
+        let evs = Obs.Trace.events trace in
         let ends =
           List.filter_map
             (fun (e : Obs.Event.t) ->
@@ -392,31 +263,21 @@ let span_tests =
           (List.map
              (fun (s : Pass.stats) -> s.Pass.pass_name)
              r.Squash.stats.Pipeline.passes)
-          ends;
-        Alcotest.(check int)
-          "counter matches" (List.length ends)
-          (Obs.Metrics.counter_value
-             (Option.get obs.Obs.metrics)
-             "pipeline.passes_run"));
+          ends);
     Alcotest.test_case "the engine emits job submit and finish events" `Quick
       (fun () ->
-        let obs = Obs.full () in
+        let trace = Obs.Trace.create () in
         let results, stats =
-          Engine.run ~jobs:2 ~obs
+          Engine.run ~jobs:2 ~trace
             ~label:(Printf.sprintf "j%d")
             [ (fun () -> 1); (fun () -> 2); (fun () -> failwith "boom") ]
         in
         Alcotest.(check int) "submitted" 3 stats.Engine.submitted;
         Alcotest.(check bool) "third failed" true
           (match results.(2) with Error _ -> true | Ok _ -> false);
-        let m = Option.get obs.Obs.metrics in
-        Alcotest.(check int) "submit counter" 3
-          (Obs.Metrics.counter_value m "engine.jobs_submitted");
-        Alcotest.(check int) "succeeded counter" 2
-          (Obs.Metrics.counter_value m "engine.jobs_succeeded");
-        Alcotest.(check int) "failed counter" 1
-          (Obs.Metrics.counter_value m "engine.jobs_failed");
-        let evs = Obs.Trace.events (Option.get obs.Obs.trace) in
+        Alcotest.(check int) "succeeded" 2 stats.Engine.succeeded;
+        Alcotest.(check int) "failed" 1 stats.Engine.failed;
+        let evs = Obs.Trace.events trace in
         let count f = List.length (List.filter f evs) in
         Alcotest.(check int) "submits" 3
           (count (fun e ->
@@ -434,7 +295,7 @@ let span_tests =
         Alcotest.(check int) "finishes" 3 (List.length finishes);
         Alcotest.(check (option bool)) "failure recorded" (Some false)
           (List.assoc_opt "j2" finishes));
-    Alcotest.test_case "stats_to_json and observe_stats agree with a run"
+    Alcotest.test_case "stats_to_json and a run agree"
       `Quick (fun () ->
         let r, _ = squash_fib () in
         let outcome, stats =
@@ -453,15 +314,7 @@ let span_tests =
           (float_of_int (Array.length stats.Runtime.per_region))
           (match Json_check.member_exn "per_region" doc with
           | Json_check.Arr l -> float_of_int (List.length l)
-          | _ -> -1.0);
-        (* Replaying the aggregates must reproduce the live counters. *)
-        let m = Obs.Metrics.create () in
-        Runtime.observe_stats (Obs.create ~metrics:m ()) stats;
-        Alcotest.(check int) "replayed decompressions"
-          stats.Runtime.decompressions
-          (Obs.Metrics.counter_value m "runtime.decompressions");
-        Alcotest.(check int) "replayed stub creates" stats.Runtime.stub_creates
-          (Obs.Metrics.counter_value m "runtime.stub_creates"));
+          | _ -> -1.0));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -484,21 +337,13 @@ let measure_tests =
         in
         let p, _ = Squeeze.run (compile fib_src) in
         let profile, _ = Profile.collect p ~input:"" in
-        let obs = Obs.full () in
         let _, stats =
-          Pipeline.execute ~obs ~passes:[ alloc_pass ] (Pass.init p profile)
+          Pipeline.execute ~passes:[ alloc_pass ] (Pass.init p profile)
         in
         let stat = (List.hd stats.Pipeline.passes).Pass.cost.Obs.alloc_words in
-        let hist =
-          Obs.Metrics.histogram_sum (Option.get obs.Obs.metrics)
-            "pipeline.pass_alloc_words"
-        in
         Alcotest.(check int) "list kept" cells (List.length !keep);
         Alcotest.(check bool)
-          (Printf.sprintf "stats read %d words" stat) true (stat >= 3 * cells);
-        Alcotest.(check bool)
-          (Printf.sprintf "histogram reads %d words" hist) true
-          (hist >= 3 * cells));
+          (Printf.sprintf "stats read %d words" stat) true (stat >= 3 * cells));
     Alcotest.test_case "an engine job's allocation is counted to the word"
       `Quick (fun () ->
         let results, stats =
@@ -514,19 +359,19 @@ let measure_tests =
 
 (* ------------------------------------------------------------------ *)
 (* The workload-wide checks.  One squeeze/profile/squash per workload at
-   θ = 0.01, then a timing run with and without a sink attached; the
+   θ = 0.01, then a timing run with and without a trace attached; the
    batch is computed once (in parallel, honouring $JOBS) and shared by
    the regression tests below. *)
 
 type wl_check = {
   wl_name : string;
-  plain : Vm.outcome;  (* no sink attached *)
+  plain : Vm.outcome;  (* no trace attached *)
   traced : Vm.outcome;
   plain_stats : Runtime.stats;
   traced_stats : Runtime.stats;
   emitted : int;
-  metrics_decomp : int;
-  vm_hook_counter : int;
+  dropped : int;
+  event_counts : (string * int) list;  (* trace events per name *)
   attrib : Attrib.t;
   region_count : int;
 }
@@ -540,20 +385,27 @@ let check_workload (wl : Workload.t) =
   let r = Squash.run ~options p profile in
   let timing = Workload.timing_input wl in
   let plain, plain_stats = Runtime.run ~fuel r.Squash.squashed ~input:timing in
-  let obs = Obs.full () in
+  let trace = Obs.Trace.create () in
   let traced, traced_stats =
-    Runtime.run ~fuel ~obs r.Squash.squashed ~input:timing
+    Runtime.run ~fuel ~trace r.Squash.squashed ~input:timing
   in
-  let m = Option.get obs.Obs.metrics in
+  let event_counts =
+    List.fold_left
+      (fun acc e ->
+        let n = Obs.Event.name e in
+        let c = Option.value ~default:0 (List.assoc_opt n acc) in
+        (n, c + 1) :: List.remove_assoc n acc)
+      [] (Obs.Trace.events trace)
+  in
   {
     wl_name = wl.Workload.name;
     plain;
     traced;
     plain_stats;
     traced_stats;
-    emitted = Obs.Trace.emitted (Option.get obs.Obs.trace);
-    metrics_decomp = Obs.Metrics.counter_value m "runtime.decompressions";
-    vm_hook_counter = Obs.Metrics.counter_value m "vm.hook_invocations";
+    emitted = Obs.Trace.emitted trace;
+    dropped = Obs.Trace.dropped trace;
+    event_counts;
     attrib = Attrib.compute ~profile r traced_stats;
     region_count = Array.length r.Squash.regions.Regions.regions;
   }
@@ -605,6 +457,7 @@ let workload_tests =
           (Lazy.force batch));
     Alcotest.test_case "hook invocations equal runtime-driven invocations"
       `Slow (fun () ->
+        let batch = Lazy.force batch in
         List.iter
           (fun c ->
             let s = c.traced_stats in
@@ -615,16 +468,28 @@ let workload_tests =
             Alcotest.(check int)
               (c.wl_name ^ " outcome counter")
               expected c.traced.Vm.hook_invocations;
-            Alcotest.(check int)
-              (c.wl_name ^ " metrics counter")
-              c.traced.Vm.hook_invocations c.vm_hook_counter;
-            Alcotest.(check int)
-              (c.wl_name ^ " decompression counter")
-              s.Runtime.decompressions c.metrics_decomp;
             Alcotest.(check bool)
               (c.wl_name ^ " events were emitted")
               true (c.emitted > 0))
-          (Lazy.force batch));
+          batch;
+        (* A trace that dropped nothing holds one event per counted
+           transition, so it must agree with the stats record. *)
+        let complete = List.filter (fun c -> c.dropped = 0) batch in
+        List.iter
+          (fun c ->
+            let s = c.traced_stats in
+            let count name =
+              Option.value ~default:0 (List.assoc_opt name c.event_counts)
+            in
+            List.iter
+              (fun (name, n) ->
+                Alcotest.(check int) (c.wl_name ^ " " ^ name) n (count name))
+              [ ("decomp_end", s.Runtime.decompressions);
+                ("stub_create", s.Runtime.stub_creates);
+                ("stub_reuse", s.Runtime.stub_reuses);
+                ("cache_evict", s.Runtime.cache_evictions) ])
+          complete;
+        Alcotest.(check bool) "some trace dropped nothing" true (complete <> []));
     Alcotest.test_case "attribution reconciles with runtime stats" `Slow
       (fun () ->
         List.iter
@@ -674,18 +539,14 @@ let grid_determinism_tests =
                 { Squash.default_options with Squash.theta = 0.01 })
             [ List.hd Workloads.all ]
         in
-        let run_with obs =
+        let run_with ?trace () =
           Exp_data.reset ();
-          Exp_grid.set_obs obs;
-          Fun.protect
-            ~finally:(fun () -> Exp_grid.set_obs None)
-            (fun () ->
-              let results, _ = Exp_grid.run ~jobs:8 (cells ()) in
-              results)
+          let results, _ = Exp_grid.run ~jobs:8 ?trace (cells ()) in
+          results
         in
-        let plain = run_with None in
-        let obs = Obs.full () in
-        let traced = run_with (Some obs) in
+        let plain = run_with () in
+        let trace = Obs.Trace.create () in
+        let traced = run_with ~trace () in
         Alcotest.(check string)
           "cell outcomes byte-identical"
           (Exp_grid.to_csv plain) (Exp_grid.to_csv traced);
@@ -694,14 +555,13 @@ let grid_determinism_tests =
           (Report.Json.to_string (Exp_grid.to_json plain))
           (Report.Json.to_string (Exp_grid.to_json traced));
         Alcotest.(check bool) "events recorded" true
-          (Obs.Trace.emitted (Option.get obs.Obs.trace) > 0));
+          (Obs.Trace.emitted trace > 0));
   ]
 
 let suite =
   [
     ("obs.trace", ring_tests);
     ("obs.export", exporter_tests);
-    ("obs.metrics", metrics_tests);
     ("obs.spans", span_tests);
     ("obs.measure", measure_tests);
     ("obs.grid", grid_determinism_tests);
