@@ -135,12 +135,12 @@ let analyze (f : Prog.Func.t) =
   let r = Solver.solve ~direction:Dataflow.Forward ~init ~transfer f in
   { func = f; before = r.Solver.before }
 
-let unreached = lazy (Array.make Reg.count Bot)
+let unreached = Array.make Reg.count Bot
 
 let entry_env t i =
   match t.before.(i) with
   | Some env -> Array.copy env
-  | None -> Array.copy (Lazy.force unreached)
+  | None -> Array.copy unreached
 
 let term_env t i =
   let env = entry_env t i in

@@ -1,24 +1,26 @@
-(** Compression of instruction sequences, with three interchangeable
-    backends dispatched through the {!Coder.S} signature:
+(** Compression of instruction sequences: three backends that build one
+    {!Coder.model} and share its one encode/decode path.
 
     - [`Split_stream] (the paper's scheme, Section 3): each of the 15
       instruction field types gets its own canonical Huffman code, built
       over all compressible regions at once.  Because the opcode determines
       the remaining fields of an instruction, the per-stream codeword
       sequences merge into a single bitstream per region.
-    - [`Split_stream_mtf] (the paper's move-to-front variant): each stream
-      is move-to-front transformed before Huffman coding.  The recency
-      lists reset at every region boundary so regions stay independently
-      decodable.  It trades better compression on some streams for a
-      larger, slower decompressor — exactly the trade-off the paper notes.
-    - [`Context] (beyond the paper): order-1 context modeling.  Opcodes are
-      conditioned on the previous opcode, every other stream on the current
-      opcode, and register streams are move-to-front coded over per-region
-      recency lists that never ship.  See {!Coder_context}.
+    - [`Split_stream_mtf] (the paper's move-to-front variant): every stream
+      is move-to-front transformed over its sorted alphabet, which ships,
+      before Huffman coding.  It trades better compression on some streams
+      for a larger, slower decompressor — exactly the trade-off the paper
+      notes.
+    - [`Context] (beyond the paper): order-1 context modeling.  A context
+      (the previous opcode for an opcode, the current opcode for a field)
+      gets a dedicated code where the bits it saves pay for its table, and
+      a register stream is move-to-front coded over the register file
+      (which never ships) where that measures cheaper.
 
-    Each region's stream ends with an encoded [Sentinel], at which
-    decompression stops (paper, Section 2.1).  {!coders} is the one table
-    of backend names. *)
+    The backends differ only in how {!build_codes} builds the model and
+    what {!table_bits} charges for shipping it.  Each region's stream ends
+    with an encoded [Sentinel], at which decompression stops (paper,
+    Section 2.1).  {!coders} is the one table of backend names. *)
 
 type backend = [ `Split_stream | `Split_stream_mtf | `Context ]
 
@@ -33,7 +35,7 @@ type work = Coder.work = {
 }
 
 type codes
-(** Pure data: a backend tag plus its model. *)
+(** Pure data: a backend tag plus its {!Coder.model}. *)
 
 val build_codes : ?backend:backend -> Instr.t list array -> codes
 (** Build the coder model from all region instruction sequences (the

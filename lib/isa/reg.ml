@@ -29,10 +29,10 @@ let name r =
   | r when r >= 22 && r <= 24 -> Printf.sprintf "t%d" (r - 14)
   | r -> Printf.sprintf "r%d" r
 
-let table = lazy (List.init count (fun r -> (name r, r)))
+let table = List.init count (fun r -> (name r, r))
 
 let of_name s =
-  match List.assoc_opt s (Lazy.force table) with
+  match List.assoc_opt s table with
   | Some r -> Some r
   | None ->
     if String.length s >= 2 && s.[0] = 'r' then

@@ -74,26 +74,3 @@ type global = {
 type func = { fname : string; params : string list; body : block_item list; fpos : pos }
 type top = Const of string * expr * pos | Global of global | Func of func
 type program = top list
-
-let pp_pos ppf { line; col } = Format.fprintf ppf "%d:%d" line col
-
-let binop_name = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | Div -> "/"
-  | Rem -> "%"
-  | And -> "&"
-  | Or -> "|"
-  | Xor -> "^"
-  | Shl -> "<<"
-  | Shr -> ">>"
-  | Lshr -> ">>>"
-  | Eq -> "=="
-  | Ne -> "!="
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | Land -> "&&"
-  | Lor -> "||"

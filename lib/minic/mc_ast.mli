@@ -104,5 +104,3 @@ type top =
 
 type program = top list
 
-val pp_pos : Format.formatter -> pos -> unit
-val binop_name : binop -> string

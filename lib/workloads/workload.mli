@@ -27,5 +27,8 @@ val compile : t -> Prog.t
     part of the library and must compile). *)
 
 val profiling_input : t -> string
+(** The forced input; safe to call from several domains at once.  The
+    same holds for {!timing_input} and {!drift_input}. *)
+
 val timing_input : t -> string
 val drift_input : t -> string

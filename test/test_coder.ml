@@ -189,4 +189,65 @@ let workload_tests =
           (2 * wins > total));
   ]
 
-let suite = [ ("coder", property_tests @ workload_tests) ]
+(* --- golden output ----------------------------------------------------- *)
+
+(* The round-trip properties accept any self-consistent format; these
+   digests pin the bytes themselves.  Each covers one squash's blob, region
+   offsets, table footprint and per-stream bits, so a change to any
+   coder's model, walk order or accounting shows up here. *)
+let golden =
+  [
+    ("gsm", 0.01, "huffman", "6f372c45fe48b4df7b475ea4c17b5f3f");
+    ("gsm", 0.01, "mtf", "cc75a4aecbb26b673af88d82f2ee2795");
+    ("gsm", 0.01, "context", "83d41bcb3e34526a7a6f3af278f178ea");
+    ("gsm", 1.0, "huffman", "69ec58f3aba05b0d068d3db62d72017a");
+    ("gsm", 1.0, "mtf", "c6f601be436f720fb8bf984689079413");
+    ("gsm", 1.0, "context", "84e45ba1a1ed7e6e1b88c00c268d3aa4");
+    ("adpcm", 0.01, "huffman", "4379e0938ea33c58dcc245318727a55d");
+    ("adpcm", 0.01, "mtf", "f3a0f9db596912bd4d9335bebc434d09");
+    ("adpcm", 0.01, "context", "6a8a94c6dacc52c3a8a179de3920ad6f");
+    ("adpcm", 1.0, "huffman", "cdc214739f817d56aca7b98b919ca3d6");
+    ("adpcm", 1.0, "mtf", "dda1ef5c91004a675e162ea960848c44");
+    ("adpcm", 1.0, "context", "befabd0f7e752acdcee33d25b6121e27");
+  ]
+
+let output_digest name theta coder =
+  let p = Exp_data.prepare (Option.get (Workloads.find name)) in
+  let options =
+    { Squash.default_options with
+      Squash.theta;
+      coder = List.assoc coder Compress.coders }
+  in
+  let sq =
+    (Exp_data.squash_with_profile p options p.Exp_data.profile).Squash.squashed
+  in
+  let streams =
+    Array.map (fun (img : Rewrite.region_image) -> img.Rewrite.stream)
+      sq.Rewrite.images
+  in
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  [
+    string_of_int (String.length sq.Rewrite.blob);
+    sq.Rewrite.blob;
+    ints sq.Rewrite.blob_offsets;
+    string_of_int (Compress.table_bits sq.Rewrite.codes);
+    String.concat ","
+      (List.map
+         (fun (s, b) -> Printf.sprintf "%s=%d" s b)
+         (Compress.stream_bits sq.Rewrite.codes streams));
+  ]
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let golden_tests =
+  [
+    Alcotest.test_case "every coder's output matches its golden digest" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, theta, coder, digest) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s theta=%g %s" name theta coder)
+              digest (output_digest name theta coder))
+          golden);
+  ]
+
+let suite = [ ("coder", property_tests @ workload_tests @ golden_tests) ]

@@ -525,28 +525,32 @@ let workload_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Tracing must not change results: a traced JOBS=8 grid is byte-identical
-   in outcomes to an untraced one.  The memos are reset so both runs
-   really execute. *)
+   in outcomes to an untraced one.  Four cells (two workloads x two θ) make
+   the engine spawn a real pool, so the traced run emits from several
+   domains at once.  The memos are reset so both runs really execute. *)
 
 let grid_determinism_tests =
   [
     Alcotest.test_case "a traced JOBS=8 grid matches an untraced one" `Slow
       (fun () ->
         let cells () =
-          List.map
-            (fun wl ->
-              Exp_grid.cell ~timing:true ~slots:1 wl
-                { Squash.default_options with Squash.theta = 0.01 })
-            [ List.hd Workloads.all ]
+          List.concat_map
+            (fun name ->
+              List.map
+                (fun theta ->
+                  Exp_grid.cell ~timing:true ~slots:1
+                    (Option.get (Workloads.find name))
+                    { Squash.default_options with Squash.theta })
+                [ 0.001; 0.01 ])
+            [ "gsm"; "adpcm" ]
         in
         let run_with ?trace () =
           Exp_data.reset ();
-          let results, _ = Exp_grid.run ~jobs:8 ?trace (cells ()) in
-          results
+          Exp_grid.run ~jobs:8 ?trace (cells ())
         in
-        let plain = run_with () in
+        let plain, _ = run_with () in
         let trace = Obs.Trace.create () in
-        let traced = run_with ~trace () in
+        let traced, stats = run_with ~trace () in
         Alcotest.(check string)
           "cell outcomes byte-identical"
           (Exp_grid.to_csv plain) (Exp_grid.to_csv traced);
@@ -554,8 +558,14 @@ let grid_determinism_tests =
           "cell json byte-identical"
           (Report.Json.to_string (Exp_grid.to_json plain))
           (Report.Json.to_string (Exp_grid.to_json traced));
-        Alcotest.(check bool) "events recorded" true
-          (Obs.Trace.emitted trace > 0));
+        Alcotest.(check bool)
+          (Printf.sprintf "pool of %d workers" stats.Engine.pool)
+          true (stats.Engine.pool > 1);
+        Alcotest.(check int) "one job_finish per cell" (List.length traced)
+          (List.length
+             (List.filter
+                (fun e -> Obs.Event.name e = "job_finish")
+                (Obs.Trace.events trace))));
   ]
 
 let suite =
