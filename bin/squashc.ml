@@ -146,8 +146,7 @@ let coder_arg =
         ~doc:
           (Printf.sprintf
              "Compression backend: %s (split-stream canonical Huffman, the \
-              paper's scheme; its move-to-front variant; order-1 \
-              context-modeled split streams)."
+              paper's scheme; order-1 context-modeled split streams)."
              (doc_alts_enum Compress.coders)))
 
 let workloads_arg verb =
@@ -829,9 +828,11 @@ let grid_cmd =
       value
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Trace the grid run's engine jobs (submissions and job \
-                spans) and write the export here: one event per line for a \
-                $(b,.jsonl) file, Chrome trace-event JSON otherwise.")
+          ~doc:"Trace the grid run and write the export here: the engine's \
+                job submissions and spans, and each computed cell's pass \
+                spans and (with $(b,--timing)) decompressions; one event per \
+                line for a $(b,.jsonl) file, Chrome trace-event JSON \
+                otherwise.")
   in
   let run names thetas ks timing cache_slots jobs json_out csv_out stats_flag
       trace_out =

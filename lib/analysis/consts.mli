@@ -41,13 +41,6 @@ type t
 
 val analyze : Prog.Func.t -> t
 
-val entry_env : t -> int -> value array
-(** Register environment at the entry of block [i] (indexed by register
-    number; the zero register is always [Int 0]). *)
-
-val term_env : t -> int -> value array
-(** Register environment just before block [i]'s terminator. *)
-
 val call_target : t -> int -> [ `Exact of string | `Unknown ]
 (** Resolution of the indirect call terminating block [i]; [`Unknown] if
     the block does not end in [Call_indirect]. *)

@@ -1,11 +1,11 @@
-(* The three model builders and what each charges for its tables.  Encode,
-   decode and the per-stream accounting are {!Coder}'s, the same for all. *)
+(* The two model builders and what each charges for its tables.  Encode,
+   decode and the per-stream accounting are {!Coder}'s, the same for both. *)
 
-type backend = [ `Split_stream | `Split_stream_mtf | `Context ]
+type backend = [ `Split_stream | `Context ]
 type work = Coder.work = { bits : int; steps : int }
 
 let coders : (string * backend) list =
-  [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf); ("context", `Context) ]
+  [ ("huffman", `Split_stream); ("context", `Context) ]
 
 type codes = { backend : backend; model : Coder.model }
 
@@ -13,28 +13,19 @@ let backend_of codes = codes.backend
 let backend_name backend = fst (List.find (fun (_, b) -> b = backend) coders)
 let coder_name codes = backend_name codes.backend
 
-(* Every symbol of each stream, last first. *)
-let stream_symbols ~alphabets regions =
-  let syms = Array.make Coder.stream_count [] in
-  Coder.iter_symbols ~alphabets (fun si _ sym -> syms.(si) <- sym :: syms.(si)) regions;
-  syms
-
-let sorted_alphabets values =
-  Array.map (fun vs -> Array.of_list (List.sort_uniq compare vs)) values
-
 let code_of_symbols syms = Canonical.of_freqs (Coder.freqs_of_values syms)
 
-(* The paper's model: one code per stream over its symbols under
-   [alphabets]. *)
-let single_code_model ~alphabets regions =
-  let per_stream =
-    Array.map
-      (function
-        | [] -> None
-        | syms -> Some { Coder.default = Some (code_of_symbols syms); dedicated = [||] })
-      (stream_symbols ~alphabets regions)
+(* The paper's model: one code per stream over its values. *)
+let single_code_model regions =
+  let syms = Array.make Coder.stream_count [] in
+  Coder.iter_symbols ~alphabets:Coder.no_alphabets
+    (fun si _ sym -> syms.(si) <- sym :: syms.(si))
+    regions;
+  let code = function
+    | [] -> None
+    | s -> Some { Coder.default = Some (code_of_symbols s); dedicated = [||] }
   in
-  { Coder.per_stream; alphabets }
+  { Coder.per_stream = Array.map code syms; alphabets = Coder.no_alphabets }
 
 (* ------------------------------------------------------------------ *)
 (* The context model.  Conditioning splits a stream's code into up to 64
@@ -47,9 +38,10 @@ let single_code_model ~alphabets regions =
    accounting (a 6-bit dedicated count and a 1-bit MTF flag per stream).
    A register stream is move-to-front coded over per-region recency lists
    seeded with the register file, so no alphabet ships, but only where the
-   measured bits (payload + tables) drop: register reuse locality
-   sometimes beats the skewed static distribution, but usually does not
-   (EXPERIMENTS.md's MTF ablation). *)
+   measured bits (payload + tables) drop.  Register reuse locality never
+   beats the skewed static distribution on the 11 workloads at any θ of
+   the grid, but does on about one generated-program cell in seven
+   (EXPERIMENTS.md, "Coders"). *)
 
 let ctx_id_bits = 6
 let is_reg_stream s = Coder.stream_value_bits s = 5
@@ -137,10 +129,7 @@ let context_model regions =
 let build_codes ?(backend = `Split_stream) regions =
   let model =
     match backend with
-    | `Split_stream -> single_code_model ~alphabets:Coder.no_alphabets regions
-    | `Split_stream_mtf ->
-      let values = stream_symbols ~alphabets:Coder.no_alphabets regions in
-      single_code_model ~alphabets:(sorted_alphabets values) regions
+    | `Split_stream -> single_code_model regions
     | `Context -> context_model regions
   in
   { backend; model }
@@ -158,11 +147,6 @@ let table_bits { backend; model } =
             +
             match backend with
             | `Split_stream -> Coder.code_tables_bits ~value_bits cc
-            | `Split_stream_mtf ->
-              (* Rank codes are cheap to describe, but the alphabet ships
-                 too. *)
-              Coder.code_tables_bits ~value_bits cc
-              + (value_bits * Array.length model.Coder.alphabets.(si))
             | `Context ->
               (* +1: the shipped MTF flag of a register stream. *)
               (if is_reg_stream stream then 1 else 0) + context_table_bits ~value_bits cc)
@@ -188,19 +172,3 @@ let compressed_bits codes regions =
 
 let stream_stats codes = Coder.stream_stats codes.model
 let stream_bits codes regions = Coder.stream_bits codes.model regions
-
-(* What-if accounting for the ablation: each stream's values move-to-front
-   coded as one sequence (no region resets) over its sorted alphabet. *)
-let mtf_gain_bits regions =
-  let values = Array.map List.rev (stream_symbols ~alphabets:Coder.no_alphabets regions) in
-  let state = Coder.Mtf_state.create (sorted_alphabets values) in
-  let huffman_bits syms = Huffman.total_encoded_bits (Coder.freqs_of_values syms) in
-  List.map
-    (fun stream ->
-      let si = Instr.stream_index stream in
-      match values.(si) with
-      | [] -> (Instr.stream_name stream, 0)
-      | vs ->
-        let ranks = List.map (Coder.Mtf_state.rank_of state si) vs in
-        (Instr.stream_name stream, huffman_bits ranks - huffman_bits vs))
-    Instr.all_streams

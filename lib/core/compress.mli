@@ -1,4 +1,4 @@
-(** Compression of instruction sequences: three backends that build one
+(** Compression of instruction sequences: two backends that build one
     {!Coder.model} and share its one encode/decode path.
 
     - [`Split_stream] (the paper's scheme, Section 3): each of the 15
@@ -6,26 +6,26 @@
       over all compressible regions at once.  Because the opcode determines
       the remaining fields of an instruction, the per-stream codeword
       sequences merge into a single bitstream per region.
-    - [`Split_stream_mtf] (the paper's move-to-front variant): every stream
-      is move-to-front transformed over its sorted alphabet, which ships,
-      before Huffman coding.  It trades better compression on some streams
-      for a larger, slower decompressor — exactly the trade-off the paper
-      notes.
     - [`Context] (beyond the paper): order-1 context modeling.  A context
       (the previous opcode for an opcode, the current opcode for a field)
       gets a dedicated code where the bits it saves pay for its table, and
       a register stream is move-to-front coded over the register file
       (which never ships) where that measures cheaper.
 
+    The paper also weighs move-to-front coding every stream and leaves it
+    out: the ranks compress no better and the decoder grows larger and
+    slower.  Here move-to-front is only the context model's per-register-
+    stream choice.
+
     The backends differ only in how {!build_codes} builds the model and
     what {!table_bits} charges for shipping it.  Each region's stream ends
     with an encoded [Sentinel], at which decompression stops (paper,
     Section 2.1).  {!coders} is the one table of backend names. *)
 
-type backend = [ `Split_stream | `Split_stream_mtf | `Context ]
+type backend = [ `Split_stream | `Context ]
 
 val coders : (string * backend) list
-(** Every backend under its stable lower-case name ("huffman", "mtf",
+(** Every backend under its stable lower-case name ("huffman",
     "context"), in that order.  The CLI's [--coder], the experiment memo
     keys and {!coder_name} all read this table. *)
 
@@ -64,8 +64,8 @@ val decode_region :
 
 val table_bits : codes -> int
 (** Footprint of the code representations that must ship with the blob:
-    [N]/[D] arrays per code (plus the move-to-front alphabets and the
-    context ids). *)
+    [N]/[D] arrays per code (plus the context coder's context ids and
+    move-to-front flags). *)
 
 val compressed_bits : codes -> Instr.t list array -> int
 (** Total encoded size of the given regions in bits (whole bytes),
@@ -77,8 +77,3 @@ val stream_stats : codes -> (string * int * float) list
 val stream_bits : codes -> Instr.t list array -> (string * int) list
 (** Encoded bits contributed by each stream over the given regions
     (excluding tables); streams that contribute nothing are omitted. *)
-
-val mtf_gain_bits : Instr.t list array -> (string * int) list
-(** For each stream, the change in total Huffman-coded bits if the stream
-    were move-to-front transformed first (negative = MTF helps).  Used by
-    the ablation bench. *)

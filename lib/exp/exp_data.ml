@@ -138,16 +138,17 @@ let baseline_timing ?(on = `Timing) p =
       Vm.run
         (Vm.of_image ~fuel (Layout.emit p.squeezed) ~input:(run_input_string p on)))
 
-let squash_result ?(pspec = Pexact) p options =
+let squash_result ?trace ?(pspec = Pexact) p options =
   Memo.get squash_memo
     (p.digest ^ "|" ^ options_key options ^ spec_key p pspec)
     (fun () ->
-      Squash.run ~options p.squeezed (profile_for p pspec))
+      Squash.run ~options ?trace p.squeezed (profile_for p pspec))
 
 let squash_with_profile p options profile =
   Squash.run ~options p.squeezed profile
 
-let timing_run ?(slots = 1) ?(pspec = Pexact) ?(on = `Timing) p (r : Squash.result) =
+let timing_run ?trace ?(slots = 1) ?(pspec = Pexact) ?(on = `Timing) p
+    (r : Squash.result) =
   let okey =
     options_key r.Squash.options
     ^ (if slots = 1 then "" else Printf.sprintf "|slots=%d" slots)
@@ -157,7 +158,7 @@ let timing_run ?(slots = 1) ?(pspec = Pexact) ?(on = `Timing) p (r : Squash.resu
       (* The divergence check runs before the entry is memoized, so a
          memoized timing outcome is always a verified one. *)
       let input = run_input_string p on in
-      let outcome, stats = Runtime.run ~fuel ~slots r.Squash.squashed ~input in
+      let outcome, stats = Runtime.run ~fuel ~slots ?trace r.Squash.squashed ~input in
       let baseline = baseline_timing ~on p in
       if
         outcome.Vm.output <> baseline.Vm.output

@@ -87,10 +87,16 @@ val baseline_timing : ?on:run_input -> prepared -> Vm.outcome
     memoized per workload and input. *)
 
 val squash_result :
-  ?pspec:profile_spec -> prepared -> Squash.options -> Squash.result
+  ?trace:Obs.Trace.t ->
+  ?pspec:profile_spec ->
+  prepared ->
+  Squash.options ->
+  Squash.result
 (** Memoized by (content digest, full option record, profile spec).
     [pspec] (default [Pexact]) selects the guiding profile via
-    {!profile_for}. *)
+    {!profile_for}.  [trace] receives the squash's pass events only when
+    this call computes the entry; a memo hit emits nothing, and the trace
+    is not part of the key. *)
 
 val squash_with_profile :
   prepared -> Squash.options -> Profile.t -> Squash.result
@@ -98,6 +104,7 @@ val squash_with_profile :
     iterative re-profiling loops whose profiles are not spec-addressable. *)
 
 val timing_run :
+  ?trace:Obs.Trace.t ->
   ?slots:int ->
   ?pspec:profile_spec ->
   ?on:run_input ->
@@ -111,7 +118,9 @@ val timing_run :
     key, since they change cycle counts (or the
     image) without changing the workload.  [pspec] must name the profile
     the squash result was built from.  Memoized like {!squash_result}; an
-    entry is verified before it is memoized.
+    entry is verified before it is memoized.  [trace] receives the run's
+    runtime events (decompressions) only when this call computes the
+    entry, as for {!squash_result}.
     @raise Failure on a behaviour mismatch. *)
 
 val reprofile_squashed : Squash.result -> input:string -> Profile.t * Vm.outcome

@@ -43,13 +43,13 @@ let jobs_override : int option ref = ref None
 let set_jobs j = jobs_override := j
 let jobs () = match !jobs_override with Some j -> j | None -> Engine.default_jobs ()
 
-let eval_cell c =
+let eval_cell ?trace c =
   let p = Exp_data.prepare c.wl in
-  let r = Exp_data.squash_result ~pspec:c.pspec p c.options in
+  let r = Exp_data.squash_result ?trace ~pspec:c.pspec p c.options in
   let cycles, baseline_cycles, time_ratio, decompressions, runtime =
     if c.timing then begin
       let outcome, stats =
-        Exp_data.timing_run ~slots:c.slots ~pspec:c.pspec ~on:c.run_on p r
+        Exp_data.timing_run ?trace ~slots:c.slots ~pspec:c.pspec ~on:c.run_on p r
       in
       let baseline = Exp_data.baseline_timing ~on:c.run_on p in
       ( Some outcome.Vm.cycles,
@@ -94,7 +94,7 @@ let run ?jobs:j ?trace cells =
   let results, stats =
     Engine.run ~jobs ?trace ~classify
       ~label:(fun i -> cell_label arr.(i))
-      (List.map (fun c () -> eval_cell c) cells)
+      (List.map (fun c () -> eval_cell ?trace c) cells)
   in
   (List.combine cells (Array.to_list results), stats)
 

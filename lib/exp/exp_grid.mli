@@ -57,9 +57,6 @@ val set_jobs : int option -> unit
 
 val jobs : unit -> int
 
-val eval_cell : cell -> metrics
-(** Evaluate one cell on the calling domain (raises on failure). *)
-
 val classify : exn -> Engine.error_kind * string
 (** Map [Vm.Trap] (fuel vs machine trap), [Pipeline.Check_failed],
     [Bitio.Corrupt_stream] and [Failure] to structured error kinds. *)
@@ -67,7 +64,9 @@ val classify : exn -> Engine.error_kind * string
 val run : ?jobs:int -> ?trace:Obs.Trace.t -> cell list -> results * Engine.stats
 (** Evaluate every cell; results are in submission order.  [trace]
     receives the engine's job submit and finish events (see
-    {!Engine.run}). *)
+    {!Engine.run}) and each cell's pass and decompression events, which
+    {!Exp_data.squash_result} and {!Exp_data.timing_run} emit once, when
+    they compute the entry: a cell served from the memos adds none. *)
 
 val failures : results -> Engine.job_error list
 

@@ -439,7 +439,6 @@ let ablation () =
       ("buffer-safe off", { base with Squash.use_buffer_safe = false });
       ("sharp buffer-safe", { base with Squash.sharp_buffer_safe = true });
       ("unswitch off", { base with Squash.unswitch = false });
-      ("MTF coder", { base with Squash.coder = `Split_stream_mtf });
       ("Context coder", { base with Squash.coder = `Context });
       ("linear regions", { base with Squash.regions_strategy = `Linear }) ]
   in
@@ -448,8 +447,7 @@ let ablation () =
     Report.Table.create
       ~title:(Printf.sprintf "Ablation at θ=%g: squashed size / squeezed size" theta)
       (("Program", Report.Table.Left)
-      :: List.map (fun (name, _) -> (name, Report.Table.Right)) variants
-      @ [ ("MTF Δbits", Report.Table.Right) ])
+      :: List.map (fun (name, _) -> (name, Report.Table.Right)) variants)
   in
   let sums = Hashtbl.create 8 in
   List.iter
@@ -468,17 +466,7 @@ let ablation () =
             Report.Table.cell_float ~decimals:3 ratio)
           variants
       in
-      let mtf_delta =
-        let r = Exp_data.squash_result p base in
-        let streams =
-          Array.map
-            (fun (img : Rewrite.region_image) -> img.Rewrite.stream)
-            r.Squash.squashed.Rewrite.images
-        in
-        List.fold_left (fun acc (_, d) -> acc + d) 0 (Compress.mtf_gain_bits streams)
-      in
-      Report.Table.add_row t
-        ((wl.Workload.name :: cells) @ [ string_of_int mtf_delta ]))
+      Report.Table.add_row t (wl.Workload.name :: cells))
     Workloads.all;
   Report.Table.add_separator t;
   Report.Table.add_row t
@@ -487,8 +475,7 @@ let ablation () =
          (fun (name, _) ->
            Report.Table.cell_float ~decimals:3
              (Report.gmean (Option.value ~default:[] (Hashtbl.find_opt sums name))))
-         variants
-    @ [ "" ]);
+         variants);
   Report.Table.render t
 
 (* ------------------------------------------------------------------ *)

@@ -41,9 +41,9 @@ val bsafe : unit -> string
     call sites they cover. *)
 
 val ablation : unit -> string
-(** Each design feature toggled off at a mid threshold: packing,
-    buffer-safety, unswitching; plus the move-to-front variant's effect on
-    the compressed size. *)
+(** Each design feature toggled at a mid threshold: packing,
+    buffer-safety (off and sharp), unswitching, the context coder and the
+    linear region strategy. *)
 
 val passes : unit -> string
 (** Where squash time goes: per-pass wall-clock timing of the pipeline

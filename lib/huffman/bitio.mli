@@ -18,7 +18,6 @@ module Writer : sig
   (** Append the low [bits] bits of the value, most significant first.
       [bits] may be 0 (writes nothing). *)
 
-  val put_bit : t -> int -> unit
   val length_bits : t -> int
 
   val contents : t -> string

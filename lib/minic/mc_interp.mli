@@ -6,8 +6,8 @@
     byte-addressed memory model, the builtins) — so it serves as an
     independent semantics to differential-test the whole compilation
     pipeline against: for any address-insensitive program,
-    [Mc_interp.run (Mc_sema.analyze ast)] and compiling + running on the VM
-    must produce the same output and exit code.
+    {!run_source} and compiling + running on the VM must produce the same
+    output and exit code.
 
     Limits: [setjmp]/[longjmp] are not supported (raising
     {!Unsupported}), and programs that observe concrete addresses (e.g.
@@ -18,12 +18,9 @@ exception Unsupported of string
 
 type outcome = { exit_code : int; output : string }
 
-val run : ?fuel:int -> Mc_sema.rprogram -> input:string -> outcome
-(** Execute the program's [main].  [fuel] bounds the number of evaluated
-    statements and expressions (default 100 million).
+val run_source : ?fuel:int -> string -> input:string -> outcome
+(** Parse, analyse and run MiniC source text's [main].  [fuel] bounds the
+    number of evaluated statements and expressions (default 100 million).
+    Raises like {!Minic.compile_exn} on front-end errors.
     @raise Runtime_error on division by zero, out-of-range memory access or
     fuel exhaustion. *)
-
-val run_source : ?fuel:int -> string -> input:string -> outcome
-(** Parse, analyse and run MiniC source text; raises like {!Minic.compile_exn}
-    on front-end errors. *)

@@ -70,11 +70,6 @@ module Stats : sig
   (** Half-width of the 95% confidence interval of the mean; 0 for fewer
       than two samples. *)
 
-  val welch_t : float list -> float list -> (float * int) option
-  (** Welch's t statistic (second sample minus first) and its
-      Welch–Satterthwaite degrees of freedom; [None] when either side has
-      fewer than two samples. *)
-
   val significant : float list -> float list -> bool
   (** Two-sided Welch test at 95%.  With fewer than two samples on either
       side there is no variance estimate and the test conservatively

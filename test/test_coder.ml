@@ -1,7 +1,8 @@
-(* The coder abstraction: every backend round-trips arbitrary regions
-   byte-identically with sane work accounting, refuses truncated streams
-   and reads past a region's end, and the context coder actually earns its
-   keep on the workload suite. *)
+(* The coder abstraction: every backend, and a hand-built model that moves
+   every register stream to front, round-trips arbitrary regions
+   byte-identically with sane work accounting and refuses truncated
+   streams; every backend refuses reads past a region's end; and the
+   context coder actually earns its keep on the workload suite. *)
 
 open QCheck
 
@@ -28,90 +29,115 @@ let arb_fat_region =
   QCheck.make ~print:(fun r -> print_regions [ r ])
     Gen.(list_size (int_range 24 60) gen_body_instr)
 
-let decode_all codes blob offsets regions =
-  Array.mapi
-    (fun i _ ->
-      let bit_end =
-        if i + 1 < Array.length offsets then Some offsets.(i + 1) else None
-      in
-      Compress.decode_region codes blob ~bit_offset:offsets.(i) ?bit_end ())
-    regions
+(* A coder under test encodes regions and returns a decoder of its blob:
+   [encode regions = (blob, offsets, decode)], where [decode blob
+   ~bit_offset ~bit_end] decodes one region. *)
+let backend_coder backend regions =
+  let codes = Compress.build_codes ~backend regions in
+  let blob, offsets = Compress.encode_regions codes regions in
+  (blob, offsets, fun blob ~bit_offset ~bit_end ->
+     Compress.decode_region codes blob ~bit_offset ?bit_end ())
 
-let round_trip_test (name, backend) =
+(* Neither builder ranks every stream: the context builder moves a register
+   stream to front only where that measures cheaper.  This model ranks
+   every register stream over the register file regardless, so
+   {!Coder.Mtf_state}'s encode and decode run on every random region set
+   whatever the builders choose.  {!Coder.decode_region} takes no
+   [bit_end]; that check is {!Compress}'s. *)
+let forced_mtf_coder regions =
+  let alphabets =
+    Array.map
+      (fun s ->
+        if Coder.stream_value_bits s = 5 then Array.init Reg.count Fun.id else [||])
+      Coder.stream_of_index
+  in
+  let syms = Array.make Coder.stream_count [] in
+  Coder.iter_symbols ~alphabets (fun si _ sym -> syms.(si) <- sym :: syms.(si)) regions;
+  let code = function
+    | [] -> None
+    | s ->
+      Some
+        { Coder.default = Some (Canonical.of_freqs (Coder.freqs_of_values s));
+          dedicated = [||] }
+  in
+  let model = { Coder.per_stream = Array.map code syms; alphabets } in
+  let blob, offsets = Coder.encode_regions model regions in
+  (blob, offsets, fun blob ~bit_offset ~bit_end:_ -> Coder.decode_region model blob ~bit_offset)
+
+let backend_coders =
+  List.map (fun (name, backend) -> (name, backend_coder backend)) Compress.coders
+
+let round_trip_test (name, encode) =
   Test.make
     ~name:(Printf.sprintf "%s: regions round-trip with sane work" name)
     ~count:60 arb_regions (fun rs ->
       let regions = Array.of_list rs in
-      let codes = Compress.build_codes ~backend regions in
-      assume (Compress.backend_of codes = backend);
-      let blob, offsets = Compress.encode_regions codes regions in
-      let decoded = decode_all codes blob offsets regions in
+      let blob, offsets, decode = encode regions in
       Array.for_all2
-        (fun (instrs, work) original ->
+        (fun original (instrs, work) ->
           List.equal Instr.equal instrs original
-          && work.Compress.bits > 0
-          && work.Compress.steps >= 0)
-        decoded regions)
+          && work.Coder.bits > 0
+          && work.Coder.steps >= 0)
+        regions
+        (Array.mapi
+           (fun i bit_offset ->
+             let bit_end =
+               if i + 1 < Array.length offsets then Some offsets.(i + 1) else None
+             in
+             decode blob ~bit_offset ~bit_end)
+           offsets))
 
 (* Truncating a stream mid-region must raise (the sentinel is gone and the
    bits run out), never hang or silently return the full region. *)
-let truncation_test (name, backend) =
+let truncation_test (name, encode) =
   Test.make
     ~name:(Printf.sprintf "%s: truncated streams raise" name)
     ~count:40 arb_fat_region (fun r ->
-      let regions = [| r |] in
-      let codes = Compress.build_codes ~backend regions in
-      let blob, offsets = Compress.encode_regions codes regions in
+      let blob, offsets, decode = encode [| r |] in
       let cut = String.sub blob 0 (String.length blob / 2) in
-      match
-        Compress.decode_region codes cut ~bit_offset:offsets.(0)
-          ~bit_end:(8 * String.length cut) ()
-      with
+      match decode cut ~bit_offset:offsets.(0) ~bit_end:(Some (8 * String.length cut)) with
       | exception Bitio.Corrupt_stream _ -> true
       | instrs, _ -> not (List.equal Instr.equal instrs r))
 
 (* Region 0 of a two-region blob ends exactly at region 1's offset, so a
    [bit_end] one bit earlier must make the decode raise. *)
-let bit_end_test (name, backend) =
+let bit_end_test (name, encode) =
   Test.make
     ~name:(Printf.sprintf "%s: reading past bit_end raises" name)
     ~count:40
     (QCheck.pair arb_fat_region arb_fat_region)
     (fun (r0, r1) ->
-      let regions = [| r0; r1 |] in
-      let codes = Compress.build_codes ~backend regions in
-      let blob, offsets = Compress.encode_regions codes regions in
-      match
-        Compress.decode_region codes blob ~bit_offset:offsets.(0)
-          ~bit_end:(offsets.(1) - 1) ()
-      with
+      let blob, offsets, decode = encode [| r0; r1 |] in
+      match decode blob ~bit_offset:offsets.(0) ~bit_end:(Some (offsets.(1) - 1)) with
       | exception Bitio.Corrupt_stream _ -> true
       | _ -> false)
 
 (* Corrupting a byte may still decode to *something* (Huffman codes are
-   complete), but it must terminate: either a raise or some stream. *)
-let corruption_test (name, backend) =
+   complete), but it must terminate: either a raise or some stream.  Under
+   move-to-front a corrupt rank past the end of a recency list must raise
+   [Corrupt_stream] too. *)
+let corruption_test (name, encode) =
   Test.make
     ~name:(Printf.sprintf "%s: corrupt streams terminate" name)
     ~count:40 arb_fat_region (fun r ->
-      let regions = [| r |] in
-      let codes = Compress.build_codes ~backend regions in
-      let blob, offsets = Compress.encode_regions codes regions in
+      let blob, offsets, decode = encode [| r |] in
       let b = Bytes.of_string blob in
       let mid = Bytes.length b / 2 in
       Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x5A));
       match
-        Compress.decode_region codes (Bytes.to_string b)
-          ~bit_offset:offsets.(0) ~bit_end:(8 * Bytes.length b) ()
+        decode (Bytes.to_string b) ~bit_offset:offsets.(0)
+          ~bit_end:(Some (8 * Bytes.length b))
       with
       | exception Bitio.Corrupt_stream _ -> true
       | _ -> true)
 
 let property_tests =
   List.concat_map
-    (fun b ->
-      [ round_trip_test b; truncation_test b; bit_end_test b; corruption_test b ])
-    Compress.coders
+    (fun c -> [ round_trip_test c; truncation_test c; bit_end_test c; corruption_test c ])
+    backend_coders
+  @ List.map
+      (fun test -> test ("forced MTF", forced_mtf_coder))
+      [ round_trip_test; truncation_test; corruption_test ]
   |> List.map (qcheck ~long:false)
 
 (* --- the workload suite under the context coder --------------------- *)
@@ -198,16 +224,12 @@ let workload_tests =
 let golden =
   [
     ("gsm", 0.01, "huffman", "6f372c45fe48b4df7b475ea4c17b5f3f");
-    ("gsm", 0.01, "mtf", "cc75a4aecbb26b673af88d82f2ee2795");
     ("gsm", 0.01, "context", "83d41bcb3e34526a7a6f3af278f178ea");
     ("gsm", 1.0, "huffman", "69ec58f3aba05b0d068d3db62d72017a");
-    ("gsm", 1.0, "mtf", "c6f601be436f720fb8bf984689079413");
     ("gsm", 1.0, "context", "84e45ba1a1ed7e6e1b88c00c268d3aa4");
     ("adpcm", 0.01, "huffman", "4379e0938ea33c58dcc245318727a55d");
-    ("adpcm", 0.01, "mtf", "f3a0f9db596912bd4d9335bebc434d09");
     ("adpcm", 0.01, "context", "6a8a94c6dacc52c3a8a179de3920ad6f");
     ("adpcm", 1.0, "huffman", "cdc214739f817d56aca7b98b919ca3d6");
-    ("adpcm", 1.0, "mtf", "dda1ef5c91004a675e162ea960848c44");
     ("adpcm", 1.0, "context", "befabd0f7e752acdcee33d25b6121e27");
   ]
 

@@ -525,9 +525,11 @@ let workload_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Tracing must not change results: a traced JOBS=8 grid is byte-identical
-   in outcomes to an untraced one.  Four cells (two workloads x two θ) make
-   the engine spawn a real pool, so the traced run emits from several
-   domains at once.  The memos are reset so both runs really execute. *)
+   in outcomes to an untraced one, and its trace holds the cells' pass and
+   decompression events as well as the engine's.  Four cells (two
+   workloads x two θ) make the engine spawn a real pool, so the traced run
+   emits from several domains at once.  The memos are reset so both runs
+   really execute. *)
 
 let grid_determinism_tests =
   [
@@ -561,11 +563,16 @@ let grid_determinism_tests =
         Alcotest.(check bool)
           (Printf.sprintf "pool of %d workers" stats.Engine.pool)
           true (stats.Engine.pool > 1);
+        let count name =
+          List.length
+            (List.filter (fun e -> Obs.Event.name e = name) (Obs.Trace.events trace))
+        in
         Alcotest.(check int) "one job_finish per cell" (List.length traced)
-          (List.length
-             (List.filter
-                (fun e -> Obs.Event.name e = "job_finish")
-                (Obs.Trace.events trace))));
+          (count "job_finish");
+        (* After the reset every cell computes its squash and its timing
+           run, so the cells' own events reach the grid's trace. *)
+        Alcotest.(check bool) "pass_end events" true (count "pass_end" > 0);
+        Alcotest.(check bool) "decomp_end events" true (count "decomp_end" > 0));
   ]
 
 let suite =

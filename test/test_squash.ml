@@ -387,9 +387,8 @@ let checker_tests =
             match Verify.errors (gate_diags r.Squash.squashed) with
             | [] -> ()
             | errs -> Alcotest.failf "θ=%g:\n%s" theta (Verify.render errs))
-          [ (0.0, `Split_stream); (1.0, `Split_stream); (1.0, `Split_stream_mtf);
-            (1.0, `Context); (0.001, `Split_stream);
-            (0.001, `Context) ]);
+          [ (0.0, `Split_stream); (1.0, `Split_stream); (1.0, `Context);
+            (0.001, `Split_stream); (0.001, `Context) ]);
     Alcotest.test_case "gate rejects a corrupted offset table" `Quick (fun () ->
         let p = squeeze (compile hot_cold_src) in
         let r =
@@ -459,21 +458,6 @@ let checker_tests =
 
 let variant_tests =
   [
-    Alcotest.test_case "MTF coder round-trips and runs" `Quick (fun () ->
-        let p = squeeze (compile hot_cold_src) in
-        let r =
-          squash
-            ~options:
-              { Squash.default_options with Squash.theta = 1.0;
-                coder = `Split_stream_mtf }
-            ~profile_input:"n" p
-        in
-        Alcotest.(check bool) "backend recorded" true
-          (Compress.backend_of r.Squash.squashed.Rewrite.codes = `Split_stream_mtf);
-        let o1 = run_orig ~input:"x" p in
-        let o2, stats = run_squashed ~input:"x" r in
-        check_same "mtf" o1 o2;
-        Alcotest.(check bool) "decompressed" true (stats.Runtime.decompressions > 0));
     Alcotest.test_case "Context coder round-trips and runs" `Quick (fun () ->
         let p = squeeze (compile hot_cold_src) in
         let r =
@@ -584,10 +568,7 @@ let differential_tests =
               if o1.Vm.output <> o2.Vm.output || o1.Vm.exit_code <> o2.Vm.exit_code
               then Alcotest.failf "%s seed %d: behaviour diverged" name seed
             done)
-          [ ("mtf",
-             { Squash.default_options with Squash.theta = 1.0;
-               coder = `Split_stream_mtf });
-            ("context",
+          [ ("context",
              { Squash.default_options with Squash.theta = 1.0;
                coder = `Context });
             ("linear",
