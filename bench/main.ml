@@ -95,12 +95,12 @@ let vm_throughput () =
   let outcome, cost = Obs.measure (fun () -> Vm.run vm) in
   let dt = cost.Obs.elapsed_s in
   let rate = float_of_int outcome.Vm.icount /. dt /. 1e6 in
-  Experiments.record_metric "vm_minstr_per_s" (Report.Json.Float rate);
-  Printf.sprintf "%-40s %8.1f M instr/s (%d instructions in %.2fs)\n"
-    "vm dispatch rate" rate outcome.Vm.icount dt
+  ( Printf.sprintf "%-40s %8.1f M instr/s (%d instructions in %.2fs)\n"
+      "vm dispatch rate" rate outcome.Vm.icount dt,
+    rate )
 
 (* Bechamel's OLS estimate of each test's time per run, printed and
-   recorded as the [ns_per_run] metric. *)
+   returned as the [ns_per_run] metric, then the VM dispatch rate. *)
 let run_micro () =
   let open Bechamel in
   let ols =
@@ -125,15 +125,6 @@ let run_micro () =
       results []
     |> List.sort compare
   in
-  Experiments.record_metric "ns_per_run"
-    (Report.Json.Obj
-       (List.map
-          (fun (name, est) ->
-            ( name,
-              match est with
-              | Some ns -> Report.Json.Float ns
-              | None -> Report.Json.Null ))
-          rows));
   let b = Buffer.create 1024 in
   Printf.bprintf b "%-40s %s\n" "benchmark" "time per run";
   Printf.bprintf b "%s\n" (String.make 64 '-');
@@ -144,9 +135,21 @@ let run_micro () =
         | Some ns -> Printf.sprintf "%12.1f ns" ns
         | None -> "           n/a"))
     rows;
-  Buffer.add_string b (vm_throughput ());
+  let vm_line, rate = vm_throughput () in
+  Buffer.add_string b vm_line;
   Buffer.add_char b '\n';
-  Buffer.contents b
+  { Experiments.text = Buffer.contents b;
+    metrics =
+      [ ( "ns_per_run",
+          Report.Json.Obj
+            (List.map
+               (fun (name, est) ->
+                 ( name,
+                   match est with
+                   | Some ns -> Report.Json.Float ns
+                   | None -> Report.Json.Null ))
+               rows) );
+        ("vm_minstr_per_s", Report.Json.Float rate) ] }
 
 (* ------------------------------------------------------------------ *)
 
@@ -155,35 +158,27 @@ let () =
   let jobs = ref None in
   let repeat = ref 1 and no_ledger = ref false in
   let json = ref None in
+  let fail msg =
+    prerr_endline msg;
+    exit 1
+  in
+  let positive flag n =
+    match int_of_string_opt n with
+    | Some v when v >= 1 -> v
+    | Some _ | None -> fail (flag ^ " requires a positive integer")
+  in
   let rec split_json acc = function
     | "--json" :: file :: rest ->
       json := Some file;
       split_json acc rest
-    | "--json" :: [] ->
-      prerr_endline "--json requires a file argument";
-      exit 1
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-        jobs := Some j;
-        split_json acc rest
-      | Some _ | None ->
-        prerr_endline "--jobs requires a positive integer";
-        exit 1)
-    | "--jobs" :: [] ->
-      prerr_endline "--jobs requires a positive integer";
-      exit 1
-    | "--repeat" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some r when r >= 1 ->
-        repeat := r;
-        split_json acc rest
-      | Some _ | None ->
-        prerr_endline "--repeat requires a positive integer";
-        exit 1)
-    | "--repeat" :: [] ->
-      prerr_endline "--repeat requires a positive integer";
-      exit 1
+    | [ "--json" ] -> fail "--json requires a file argument"
+    | "--jobs" :: n :: rest ->
+      jobs := Some (positive "--jobs" n);
+      split_json acc rest
+    | "--repeat" :: n :: rest ->
+      repeat := positive "--repeat" n;
+      split_json acc rest
+    | [ ("--jobs" | "--repeat") as flag ] -> fail (flag ^ " requires a positive integer")
     | "--no-ledger" :: rest ->
       no_ledger := true;
       split_json acc rest
@@ -191,9 +186,8 @@ let () =
     | [] -> List.rev acc
   in
   let ids = split_json [] args in
-  let json_file = !json in
-  Exp_grid.set_jobs !jobs;
-  Printf.printf "engine: %d jobs\n%!" (Exp_grid.jobs ());
+  let jobs = Option.value !jobs ~default:(Engine.default_jobs ()) in
+  Printf.printf "engine: %d jobs\n%!" jobs;
   let requested =
     match ids with
     | _ :: _ -> ids
@@ -212,31 +206,38 @@ let () =
   let setup = Obs.Clock.now () -. t0 in
   Printf.printf "setup: workload inputs in %.2fs\n%!" setup;
   let unknown = ref [] in
+  (* (id, samples, metrics), latest first.  Every sample recomputes from
+     scratch ({!Experiments.sample}); only the first one's report is
+     printed and its metrics recorded. *)
   let recorded = ref [] in
-  let samples_by_id = ref [] in
-  (* Every sample recomputes from scratch ({!Experiments.sample}); only
-     the first one's report is printed and its metrics recorded. *)
   let run id f =
     let s = Experiments.sample ~repeat:!repeat f in
-    print_string s.Experiments.report;
-    let samples = s.Experiments.seconds in
-    samples_by_id := (id, samples) :: !samples_by_id;
+    print_string s.Experiments.report.Experiments.text;
     recorded :=
-      Report.Json.Obj
-        [ ("id", Report.Json.String id);
-          ("seconds", Report.Json.Float (Report.Stats.mean samples));
-          ( "samples",
-            Report.Json.List
-              (List.map (fun s -> Report.Json.Float s) samples) );
-          ("metrics", Report.Json.Obj s.Experiments.metrics) ]
+      (id, s.Experiments.seconds, s.Experiments.report.Experiments.metrics)
       :: !recorded
+  in
+  (* The ledger keeps only what benchdiff consumes — provenance, samples
+     and the deterministic counters — so years of runs stay a few
+     kilobytes; the JSON document adds each experiment's metrics. *)
+  let experiments ~metrics =
+    Report.Json.List
+      (List.rev_map
+         (fun (id, samples, m) ->
+           Report.Json.Obj
+             ([ ("id", Report.Json.String id);
+                ("seconds", Report.Json.Float (Report.Stats.mean samples));
+                ( "samples",
+                  Report.Json.List (List.map (fun s -> Report.Json.Float s) samples) ) ]
+             @ if metrics then [ ("metrics", Report.Json.Obj m) ] else []))
+         !recorded)
   in
   List.iter
     (fun id ->
       match List.assoc_opt id Experiments.all with
-      | Some f ->
+      | Some d ->
         hr id;
-        run id f;
+        run id (fun () -> Experiments.run ~jobs d);
         Printf.printf "[%s done at %.1fs]\n%!" id (Obs.Clock.now () -. t0)
       | None ->
         if id = "micro" then begin
@@ -247,8 +248,8 @@ let () =
     requested;
   let total = Obs.Clock.now () -. t0 in
   Printf.printf "\ntotal time: %.1fs\n" total;
-  (* A representative runtime-stats sample (first workload, θ=0.01),
-     served from the memo when the last experiment built it.  Its scalar counters are
+  (* A representative runtime-stats sample (first workload, θ=0.01): one
+     timing run after every experiment.  Its scalar counters are
      deterministic at a fixed revision, which is what lets benchdiff
      treat any drift in them as a behaviour change. *)
   let runtime_sample =
@@ -271,18 +272,18 @@ let () =
         match Ledger.git_rev () with
         | Some r -> Report.Json.String r
         | None -> Report.Json.Null );
-      ("jobs", Report.Json.Int (Exp_grid.jobs ()));
+      ("jobs", Report.Json.Int jobs);
       ("repeat", Report.Json.Int !repeat);
       ("setup_seconds", Report.Json.Float setup);
       ("total_seconds", Report.Json.Float total) ]
   in
-  (match json_file with
+  (match !json with
   | None -> ()
   | Some file ->
     let doc =
       Report.Json.Obj
         (provenance
-        @ [ ("experiments", Report.Json.List (List.rev !recorded));
+        @ [ ("experiments", experiments ~metrics:true);
             ("runtime_sample", runtime_sample) ])
     in
     let oc = open_out file in
@@ -291,31 +292,27 @@ let () =
     close_out oc;
     Printf.printf "wrote %s\n" file);
   (if not !no_ledger then
-     (* The history line keeps only what benchdiff consumes — provenance,
-        samples and the deterministic counters — so years of runs stay a
-        few kilobytes. *)
-     let slim =
-       List.rev_map
-         (fun (id, samples) ->
-           Report.Json.Obj
-             [ ("id", Report.Json.String id);
-               ("seconds", Report.Json.Float (Report.Stats.mean samples));
-               ( "samples",
-                 Report.Json.List
-                   (List.map (fun s -> Report.Json.Float s) samples) ) ])
-         !samples_by_id
-     in
      let entry =
        Report.Json.Obj
          (provenance
-         @ [ ("experiments", Report.Json.List slim);
+         @ [ ("experiments", experiments ~metrics:false);
              ("runtime_sample", runtime_sample) ])
      in
      match Ledger.append entry with
      | Ok path -> Printf.printf "ledger: appended to %s\n" path
      | Error msg -> Printf.eprintf "ledger: append failed: %s\n" msg);
+  (* Every report is printed and written first; a failed cell then fails
+     the run. *)
+  let failed =
+    List.filter_map
+      (fun (id, _, m) -> Option.map (fun fs -> (id, fs)) (List.assoc_opt "engine_failures" m))
+      (List.rev !recorded)
+  in
+  List.iter
+    (fun (id, fs) -> Printf.eprintf "%s: failed cells %s\n" id (Report.Json.to_string fs))
+    failed;
   match List.rev !unknown with
-  | [] -> ()
+  | [] -> if failed <> [] then exit 1
   | ids ->
     Printf.eprintf "unknown experiment%s: %s\nvalid ids: %s micro\n"
       (if List.length ids > 1 then "s" else "")

@@ -44,14 +44,12 @@ let options_key (o : Squash.options) =
 let prepared_memo : prepared Memo.t = Memo.create ()
 let baseline_memo : Vm.outcome Memo.t = Memo.create ()
 let squash_memo : Squash.result Memo.t = Memo.create ()
-let timing_memo : (Vm.outcome * Runtime.stats) Memo.t = Memo.create ()
 let profile_memo : Profile.t Memo.t = Memo.create ()
 
 let reset () =
   Memo.clear prepared_memo;
   Memo.clear baseline_memo;
   Memo.clear squash_memo;
-  Memo.clear timing_memo;
   Memo.clear profile_memo
 
 let prepare (wl : Workload.t) =
@@ -147,30 +145,19 @@ let squash_result ?trace ?(pspec = Pexact) p options =
 let squash_with_profile p options profile =
   Squash.run ~options p.squeezed profile
 
-let timing_run ?trace ?(slots = 1) ?(pspec = Pexact) ?(on = `Timing) p
-    (r : Squash.result) =
-  let okey =
-    options_key r.Squash.options
-    ^ (if slots = 1 then "" else Printf.sprintf "|slots=%d" slots)
-    ^ spec_key p pspec ^ run_key p on
-  in
-  Memo.get timing_memo (p.digest ^ "|" ^ okey) (fun () ->
-      (* The divergence check runs before the entry is memoized, so a
-         memoized timing outcome is always a verified one. *)
-      let input = run_input_string p on in
-      let outcome, stats = Runtime.run ~fuel ~slots ?trace r.Squash.squashed ~input in
-      let baseline = baseline_timing ~on p in
-      if
-        outcome.Vm.output <> baseline.Vm.output
-        || outcome.Vm.exit_code <> baseline.Vm.exit_code
-      then
-        failwith
-          (Printf.sprintf
-             "%s: squashed program diverged from baseline (θ=%g, profile=%s, \
-              run=%s)"
-             p.wl.Workload.name r.Squash.options.Squash.theta (spec_label pspec)
-             (run_label on));
-      (outcome, stats))
+let timing_run ?trace ?(slots = 1) ?(on = `Timing) p (r : Squash.result) =
+  let input = run_input_string p on in
+  let outcome, stats = Runtime.run ~fuel ~slots ?trace r.Squash.squashed ~input in
+  let baseline = baseline_timing ~on p in
+  if
+    outcome.Vm.output <> baseline.Vm.output
+    || outcome.Vm.exit_code <> baseline.Vm.exit_code
+  then
+    failwith
+      (Printf.sprintf
+         "%s: squashed program diverged from baseline (θ=%g, run=%s)"
+         p.wl.Workload.name r.Squash.options.Squash.theta (run_label on));
+  (outcome, stats)
 
 (* Re-profile an already-squashed image: run it under the profiling VM and
    map per-word counts back to source blocks through the rewrite's owner

@@ -1,17 +1,22 @@
-(** Memoized per-workload pipeline artifacts shared by the experiment
-    harness: each workload is compiled, compacted and profiled once, and
-    each distinct squash configuration is built once.
+(** Memoized per-workload pipeline artifacts that experiment cells
+    share: each workload is compiled, compacted and profiled once, its
+    baseline run once per input, each derived profile once, and each
+    distinct squash configuration is built once (S7's four slot counts
+    share one squash; every timing cell of a workload shares one
+    baseline).  A timing run is not memoized: it belongs to exactly one
+    {!Exp_grid} cell.
 
     Every memo table here is domain-safe and compute-once ({!Memo}), so
     the {!Engine} can evaluate experiment cells concurrently, and every
     entry is keyed by a {e content digest} of exactly the workload parts
-    it reads (the source text and profiling input; for a run, also that
-    run's input; for an oracle profile, also the drift input) plus the
-    full option record ({!options_key}), never by workload name alone: a
-    changed workload hashes to a different key and can never serve a stale
-    artifact, and preparing or squashing a workload never generates its
-    timing or drift input.  The memos live only in this process; {!reset}
-    empties them, so the next call recomputes from the workload source.
+    it reads (the source text and profiling input; for a baseline run,
+    also that run's input; for an oracle profile, also the drift input)
+    plus the full option record ({!options_key}), never by workload name
+    alone: a changed workload hashes to a different key and can never
+    serve a stale artifact, and preparing or squashing a workload never
+    generates its timing or drift input.  The memos live only in this
+    process; {!reset} empties them, so the next call recomputes from the
+    workload source.
 
     The θ scale: the paper's thresholds are fractions of the {e profiled}
     dynamic instruction count, and its profiling runs execute billions of
@@ -106,21 +111,16 @@ val squash_with_profile :
 val timing_run :
   ?trace:Obs.Trace.t ->
   ?slots:int ->
-  ?pspec:profile_spec ->
   ?on:run_input ->
   prepared ->
   Squash.result ->
   Vm.outcome * Runtime.stats
 (** Run the squashed program on the selected run input (default
-    [`Timing]), checking that its output matches the matching baseline
-    exactly.  [slots] (default 1) is the runtime's region-cache slot
-    count; it, the profile spec and the run input are all part of the memo
-    key, since they change cycle counts (or the
-    image) without changing the workload.  [pspec] must name the profile
-    the squash result was built from.  Memoized like {!squash_result}; an
-    entry is verified before it is memoized.  [trace] receives the run's
-    runtime events (decompressions) only when this call computes the
-    entry, as for {!squash_result}.
+    [`Timing]), checking that its output and exit code match the memoized
+    baseline's exactly.  [slots] (default 1) is the runtime's region-cache
+    slot count.  Not memoized: every timing run belongs to exactly one
+    {!Exp_grid} cell, so nothing shares it.  [trace] receives the run's
+    runtime events (decompressions).
     @raise Failure on a behaviour mismatch. *)
 
 val reprofile_squashed : Squash.result -> input:string -> Profile.t * Vm.outcome

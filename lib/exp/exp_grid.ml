@@ -11,10 +11,22 @@ let cell ?(timing = false) ?(slots = 1) ?(pspec = Exp_data.Pexact)
     ?(run_on = `Timing) wl options =
   { wl; options; timing; slots; pspec; run_on }
 
+(* The [options_key] fragments past the version, θ and K, so a label can
+   name exactly the options that differ from the defaults. *)
+let option_fragments o =
+  match String.split_on_char ';' (Exp_data.options_key o) with
+  | _version :: _theta :: _k :: rest -> rest
+  | _ -> assert false
+
 let cell_label c =
-  Printf.sprintf "%s θ=%s K=%d%s%s%s%s" c.wl.Workload.name
+  Printf.sprintf "%s θ=%s K=%d%s%s%s%s%s" c.wl.Workload.name
     (Exp_data.theta_label c.options.Squash.theta)
     c.options.Squash.k_bytes
+    (String.concat ""
+       (List.map2
+          (fun f d -> if f = d then "" else " " ^ f)
+          (option_fragments c.options)
+          (option_fragments Squash.default_options)))
     (if c.slots = 1 then "" else Printf.sprintf " slots=%d" c.slots)
     (match c.pspec with
     | Exp_data.Pexact -> ""
@@ -22,59 +34,41 @@ let cell_label c =
     (match c.run_on with `Timing -> "" | `Drift -> " run=drift")
     (if c.timing then " +timing" else "")
 
-type metrics = {
-  original_words : int;
-  squashed_words : int;
-  size_ratio : float;
-  size_reduction : float;
-  coder : string;
-  table_bits : int;
-  cycles : int option;
-  baseline_cycles : int option;
-  time_ratio : float option;
-  decompressions : int option;
-  runtime : Runtime.stats option;
+type timing = {
+  outcome : Vm.outcome;
+  stats : Runtime.stats;
+  baseline : Vm.outcome;
 }
 
-type outcome = (metrics, Engine.job_error) result
+type value = {
+  prepared : Exp_data.prepared;
+  result : Squash.result;
+  timed : timing option;
+}
+
+let size_ratio (r : Squash.result) =
+  float_of_int r.Squash.squashed_words /. float_of_int r.Squash.original_words
+
+let time_ratio t =
+  float_of_int t.outcome.Vm.cycles /. float_of_int t.baseline.Vm.cycles
+
+type outcome = (value, Engine.job_error) result
 type results = (cell * outcome) list
 
-let jobs_override : int option ref = ref None
-let set_jobs j = jobs_override := j
-let jobs () = match !jobs_override with Some j -> j | None -> Engine.default_jobs ()
-
 let eval_cell ?trace c =
-  let p = Exp_data.prepare c.wl in
-  let r = Exp_data.squash_result ?trace ~pspec:c.pspec p c.options in
-  let cycles, baseline_cycles, time_ratio, decompressions, runtime =
+  let prepared = Exp_data.prepare c.wl in
+  let result = Exp_data.squash_result ?trace ~pspec:c.pspec prepared c.options in
+  let timed =
     if c.timing then begin
       let outcome, stats =
-        Exp_data.timing_run ?trace ~slots:c.slots ~pspec:c.pspec ~on:c.run_on p r
+        Exp_data.timing_run ?trace ~slots:c.slots ~on:c.run_on prepared result
       in
-      let baseline = Exp_data.baseline_timing ~on:c.run_on p in
-      ( Some outcome.Vm.cycles,
-        Some baseline.Vm.cycles,
-        Some (float_of_int outcome.Vm.cycles /. float_of_int baseline.Vm.cycles),
-        Some stats.Runtime.decompressions,
-        Some stats )
+      let baseline = Exp_data.baseline_timing ~on:c.run_on prepared in
+      Some { outcome; stats; baseline }
     end
-    else (None, None, None, None, None)
+    else None
   in
-  let original_words = r.Squash.original_words in
-  let squashed_words = r.Squash.squashed_words in
-  {
-    original_words;
-    squashed_words;
-    size_ratio = float_of_int squashed_words /. float_of_int original_words;
-    size_reduction = Squash.size_reduction r;
-    coder = Compress.coder_name r.Squash.squashed.Rewrite.codes;
-    table_bits = Compress.table_bits r.Squash.squashed.Rewrite.codes;
-    cycles;
-    baseline_cycles;
-    time_ratio;
-    decompressions;
-    runtime;
-  }
+  { prepared; result; timed }
 
 let classify = function
   | Vm.Trap { pc; reason } when reason = "out of fuel" ->
@@ -88,15 +82,28 @@ let classify = function
   | Failure msg -> (`Failed, msg)
   | e -> (`Exception, Printexc.to_string e)
 
-let run ?jobs:j ?trace cells =
-  let jobs = match j with Some j -> j | None -> jobs () in
+let run ?jobs ?trace cells =
   let arr = Array.of_list cells in
   let results, stats =
-    Engine.run ~jobs ?trace ~classify
+    Engine.run ?jobs ?trace ~classify
       ~label:(fun i -> cell_label arr.(i))
       (List.map (fun c () -> eval_cell ?trace c) cells)
   in
   (List.combine cells (Array.to_list results), stats)
+
+let key c =
+  String.concat "|"
+    [ c.wl.Workload.name; Exp_data.options_key c.options;
+      string_of_int c.slots; Exp_data.spec_label c.pspec;
+      Exp_data.run_label c.run_on; string_of_bool c.timing ]
+
+let lookup (results : results) =
+  let index = Hashtbl.create (List.length results) in
+  List.iter (fun (c, o) -> Hashtbl.replace index (key c) o) results;
+  fun c ->
+    match Hashtbl.find_opt index (key c) with
+    | Some o -> o
+    | None -> invalid_arg ("Exp_grid.lookup: undeclared cell " ^ cell_label c)
 
 let failures results =
   List.filter_map
@@ -118,14 +125,18 @@ let render_table (results : results) =
     (fun (c, outcome) ->
       let row =
         match outcome with
-        | Ok m ->
+        | Ok v ->
           [ c.wl.Workload.name;
             Exp_data.theta_label c.options.Squash.theta;
             string_of_int c.options.Squash.k_bytes;
-            string_of_int m.original_words; string_of_int m.squashed_words;
-            Report.Table.cell_float ~decimals:3 m.size_ratio;
-            opt_cell (Report.Table.cell_float ~decimals:3) m.time_ratio;
-            opt_cell string_of_int m.decompressions; "ok" ]
+            string_of_int v.result.Squash.original_words;
+            string_of_int v.result.Squash.squashed_words;
+            Report.Table.cell_float ~decimals:3 (size_ratio v.result);
+            opt_cell
+              (fun t -> Report.Table.cell_float ~decimals:3 (time_ratio t))
+              v.timed;
+            opt_cell (fun t -> string_of_int t.stats.Runtime.decompressions) v.timed;
+            "ok" ]
         | Error e ->
           [ c.wl.Workload.name;
             Exp_data.theta_label c.options.Squash.theta;
@@ -150,29 +161,27 @@ let cell_json (c, outcome) =
       ("timing", Report.Json.Bool c.timing) ]
   in
   match outcome with
-  | Ok m ->
+  | Ok v ->
+    let r = v.result in
+    let codes = r.Squash.squashed.Rewrite.codes in
     Report.Json.Obj
       (base
       @ [ ("status", Report.Json.String "ok");
-          ("original_words", Report.Json.Int m.original_words);
-          ("squashed_words", Report.Json.Int m.squashed_words);
-          ("size_ratio", Report.Json.Float m.size_ratio);
-          ("size_reduction", Report.Json.Float m.size_reduction);
-          ("coder", Report.Json.String m.coder);
-          ("table_bits", Report.Json.Int m.table_bits) ]
-      @ (match m.cycles with
-        | None -> []
-        | Some cy ->
-          [ ("cycles", Report.Json.Int cy);
-            ("baseline_cycles",
-             Report.Json.Int (Option.value ~default:0 m.baseline_cycles));
-            ("time_ratio",
-             Report.Json.Float (Option.value ~default:Float.nan m.time_ratio));
-            ("decompressions",
-             Report.Json.Int (Option.value ~default:0 m.decompressions)) ])
-      @ (match m.runtime with
-        | None -> []
-        | Some st -> [ ("runtime", Runtime.stats_to_json st) ]))
+          ("original_words", Report.Json.Int r.Squash.original_words);
+          ("squashed_words", Report.Json.Int r.Squash.squashed_words);
+          ("size_ratio", Report.Json.Float (size_ratio r));
+          ("size_reduction", Report.Json.Float (Squash.size_reduction r));
+          ("coder", Report.Json.String (Compress.coder_name codes));
+          ("table_bits", Report.Json.Int (Compress.table_bits codes)) ]
+      @
+      match v.timed with
+      | None -> []
+      | Some t ->
+        [ ("cycles", Report.Json.Int t.outcome.Vm.cycles);
+          ("baseline_cycles", Report.Json.Int t.baseline.Vm.cycles);
+          ("time_ratio", Report.Json.Float (time_ratio t));
+          ("decompressions", Report.Json.Int t.stats.Runtime.decompressions);
+          ("runtime", Runtime.stats_to_json t.stats) ])
   | Error e ->
     Report.Json.Obj
       (base
@@ -191,13 +200,15 @@ let to_csv (results : results) =
       let theta = Printf.sprintf "%g" c.options.Squash.theta in
       let k = string_of_int c.options.Squash.k_bytes in
       (match outcome with
-      | Ok m ->
+      | Ok v ->
+        let timed f = opt_cell (fun t -> string_of_int (f t)) v.timed in
         Buffer.add_string b
           (Printf.sprintf "%s,%s,%s,ok,%d,%d,%.6f,%s,%s,%s\n" name theta k
-             m.original_words m.squashed_words m.size_ratio
-             (opt_cell string_of_int m.cycles)
-             (opt_cell string_of_int m.baseline_cycles)
-             (opt_cell string_of_int m.decompressions))
+             v.result.Squash.original_words v.result.Squash.squashed_words
+             (size_ratio v.result)
+             (timed (fun t -> t.outcome.Vm.cycles))
+             (timed (fun t -> t.baseline.Vm.cycles))
+             (timed (fun t -> t.stats.Runtime.decompressions)))
       | Error e ->
         Buffer.add_string b
           (Printf.sprintf "%s,%s,%s,failed:%s,,,,,,\n" name theta k

@@ -7,9 +7,11 @@
     exhaustion or invariant failure marks that cell failed with a
     structured {!Engine.job_error} and the rest of the grid completes.
 
-    The fig/table drivers in {!Experiments} submit their cell sets here
-    before rendering; [squashc grid] and the determinism regression drive
-    {!run} directly. *)
+    A cell's [Ok] value is what the cell computed, so a consumer renders
+    from {!run}'s results and nothing else: the drivers in {!Experiments}
+    declare their cells and read each one back through {!lookup};
+    [squashc grid] and the determinism regression render the results with
+    {!render_table}, {!to_json} and {!to_csv}. *)
 
 type cell = {
   wl : Workload.t;
@@ -31,42 +33,50 @@ val cell :
 (** [pspec] defaults to [Pexact] and [run_on] to [`Timing] — the
     historical grid cell.  The P8 lifecycle cells vary both. *)
 
-
 val cell_label : cell -> string
+(** Workload, θ, K, then every option that differs from
+    {!Squash.default_options} (as its {!Exp_data.options_key} fragment),
+    the slot count, profile and run input when not the defaults, and
+    [+timing]. *)
 
-type metrics = {
-  original_words : int;
-  squashed_words : int;
-  size_ratio : float;  (** squashed / original (squeezed) words. *)
-  size_reduction : float;
-  coder : string;  (** Backend name ({!Compress.coder_name}). *)
-  table_bits : int;  (** Shipped code-table footprint in bits. *)
-  cycles : int option;  (** Timing-run cycles (when [timing]). *)
-  baseline_cycles : int option;
-  time_ratio : float option;
-  decompressions : int option;
-  runtime : Runtime.stats option;  (** Full runtime stats (when [timing]). *)
+type timing = {
+  outcome : Vm.outcome;  (** The verified squashed run. *)
+  stats : Runtime.stats;
+  baseline : Vm.outcome;  (** The squeezed program on the same input. *)
 }
 
-type outcome = (metrics, Engine.job_error) result
+type value = {
+  prepared : Exp_data.prepared;
+  result : Squash.result;
+  timed : timing option;  (** [Some] exactly when the cell is a timing cell. *)
+}
+
+val size_ratio : Squash.result -> float
+(** Squashed / original (squeezed) words. *)
+
+val time_ratio : timing -> float
+(** Squashed cycles / baseline cycles. *)
+
+type outcome = (value, Engine.job_error) result
 type results = (cell * outcome) list
-
-val set_jobs : int option -> unit
-(** Fix the pool size used when [run]'s [?jobs] is omitted ([None] returns
-    to {!Engine.default_jobs}). *)
-
-val jobs : unit -> int
 
 val classify : exn -> Engine.error_kind * string
 (** Map [Vm.Trap] (fuel vs machine trap), [Pipeline.Check_failed],
     [Bitio.Corrupt_stream] and [Failure] to structured error kinds. *)
 
 val run : ?jobs:int -> ?trace:Obs.Trace.t -> cell list -> results * Engine.stats
-(** Evaluate every cell; results are in submission order.  [trace]
+(** Evaluate every cell on [jobs] workers (default
+    {!Engine.default_jobs}); results are in submission order.  [trace]
     receives the engine's job submit and finish events (see
-    {!Engine.run}) and each cell's pass and decompression events, which
-    {!Exp_data.squash_result} and {!Exp_data.timing_run} emit once, when
-    they compute the entry: a cell served from the memos adds none. *)
+    {!Engine.run}), each cell's timing-run decompressions and the pass
+    events of each squash the cell computes: a squash served from the
+    {!Exp_data} memos adds none. *)
+
+val lookup : results -> cell -> outcome
+(** [lookup results] indexes the results by every field of the cell
+    (workload name, full {!Exp_data.options_key}, slots, profile spec, run
+    input and timing flag); the returned function finds a cell's outcome.
+    @raise Invalid_argument for a cell that is not in [results]. *)
 
 val failures : results -> Engine.job_error list
 

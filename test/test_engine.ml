@@ -226,13 +226,16 @@ let sample_tests =
         let prepared = ref [] in
         let s =
           Experiments.sample ~repeat:2 (fun () ->
-              let report = Experiments.table1 () in
+              let report =
+                Experiments.run ~jobs:(Engine.default_jobs ())
+                  (List.assoc "T1" Experiments.all)
+              in
               prepared := Exp_data.prepare wl :: !prepared;
               report)
         in
         Alcotest.(check int) "two samples" 2
           (List.length s.Experiments.seconds);
-        let keys = List.map fst s.Experiments.metrics in
+        let keys = List.map fst s.Experiments.report.Experiments.metrics in
         Alcotest.(check bool) "engine metric recorded" true
           (List.mem "engine" keys);
         Alcotest.(check (list string)) "metric keys unique"
@@ -242,6 +245,95 @@ let sample_tests =
           Alcotest.(check bool) "second sample recomputed prepare" true
             (first != second)
         | _ -> Alcotest.fail "expected one prepare per sample");
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Experiment drivers: each declares its cells up front, names every one
+   distinctly (an engine error must say which variant failed), and renders
+   a failed cell as FAILED without disturbing the other rows. *)
+
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let experiment_tests =
+  [
+    Alcotest.test_case "every driver's cell labels are distinct" `Quick
+      (fun () ->
+        List.iter
+          (fun (id, (d : Experiments.driver)) ->
+            let labels = List.map Exp_grid.cell_label d.Experiments.cells in
+            let sorted = List.sort compare labels in
+            let rec dups = function
+              | a :: (b :: _ as rest) -> if a = b then a :: dups rest else dups rest
+              | _ -> []
+            in
+            Alcotest.(check (list string)) (id ^ ": no label twice") []
+              (dups sorted))
+          Experiments.all);
+    Alcotest.test_case "labels name every option that differs from the defaults"
+      `Quick (fun () ->
+        let gsm = Option.get (Workloads.find "gsm") in
+        let base = { Squash.default_options with Squash.theta = 0.01 } in
+        let label ?timing o = Exp_grid.cell_label (Exp_grid.cell ?timing gsm o) in
+        Alcotest.(check string) "θ and K only" "gsm θ=0.01 K=512" (label base);
+        Alcotest.(check string) "timing" "gsm θ=0.01 K=512 +timing"
+          (label ~timing:true { base with Squash.k_bytes = 512 });
+        Alcotest.(check string) "coder" "gsm θ=0.01 K=512 coder=context"
+          (label { base with Squash.coder = `Context });
+        Alcotest.(check string) "two options"
+          "gsm θ=0.01 K=256 pack=false regions=linear"
+          (label
+             { base with
+               Squash.k_bytes = 256; pack = false; regions_strategy = `Linear }));
+    Alcotest.test_case "a failed cell renders as FAILED, the rest unchanged"
+      `Slow (fun () ->
+        Fun.protect ~finally:Exp_data.reset (fun () ->
+            let d = List.assoc "S3-gamma" Experiments.all in
+            let results, stats =
+              Exp_grid.run ~jobs:(Engine.default_jobs ()) d.Experiments.cells
+            in
+            let plain = Experiments.render d (results, stats) in
+            (* gsm's outcome replaced by an engine error. *)
+            let failed =
+              List.map
+                (fun ((c : Exp_grid.cell), o) ->
+                  if c.Exp_grid.wl.Workload.name <> "gsm" then (c, o)
+                  else
+                    ( c,
+                      Error
+                        { Engine.label = Exp_grid.cell_label c; kind = `Trap;
+                          message = "injected" } ))
+                results
+            in
+            let broken = Experiments.render d (failed, stats) in
+            let lines (r : Experiments.report) =
+              String.split_on_char '\n' r.Experiments.text
+            in
+            Alcotest.(check int) "same line count"
+              (List.length (lines plain))
+              (List.length (lines broken));
+            List.iter2
+              (fun p b ->
+                if starts_with ~prefix:"gsm " p || starts_with ~prefix:"geo. mean" p
+                then begin
+                  Alcotest.(check bool) ("FAILED in " ^ b) true
+                    (contains ~needle:"FAILED" b);
+                  Alcotest.(check bool) ("no FAILED in " ^ p) false
+                    (contains ~needle:"FAILED" p)
+                end
+                else Alcotest.(check string) "row unchanged" p b)
+              (lines plain) (lines broken);
+            let keys (r : Experiments.report) = List.map fst r.Experiments.metrics in
+            Alcotest.(check bool) "plain: no engine_failures" false
+              (List.mem "engine_failures" (keys plain));
+            Alcotest.(check bool) "broken: engine_failures" true
+              (List.mem "engine_failures" (keys broken))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -334,11 +426,6 @@ let determinism_tests =
           "Rewrite.build: decomp_words too small" e.Engine.message;
         (* The failure is surfaced in the machine-readable report. *)
         let json = Report.Json.to_string (Exp_grid.to_json results) in
-        let contains ~needle hay =
-          let n = String.length needle and h = String.length hay in
-          let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-          go 0
-        in
         Alcotest.(check bool) "json carries the failure" true
           (contains ~needle:"\"status\":\"failed\"" json);
         Alcotest.(check bool) "json carries successes" true
@@ -355,4 +442,5 @@ let determinism_tests =
 let suite =
   [ ("engine", engine_tests); ("engine-memo", memo_tests);
     ("engine-exp-data", exp_data_tests); ("engine-sample", sample_tests);
+    ("engine-experiments", experiment_tests);
     ("engine-grid", determinism_tests) ]
