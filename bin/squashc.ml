@@ -13,25 +13,20 @@
      squashc attrib gsm --theta 0.01          per-region runtime overhead
      squashc stats prog.mc                    static code statistics
      squashc grid gsm pgp --jobs 4            workload x theta x K sweep on
-                                              the parallel engine (JSON/CSV)
+                                              the parallel engine (--json)
      squashc benchdiff a.json b.json          compare two bench runs
-     squashc tracediff a.json b.jsonl         compare the spans of two traces
+     squashc tracediff a.json b.json          compare the spans of two traces
      squashc lint --theta 0.0,0.01            static image verifier
      squashc prove --slots 1,4                symbolic equivalence prover
      squashc workloads                        list the built-in benchmarks
 
    Programs may be MiniC (.mc) or SQ32 assembly (anything else); the name of
    a built-in workload (e.g. "gsm") may be used instead of a file, in which
-   case its built-in profiling/timing inputs are the defaults. *)
+   case its built-in profiling/timing inputs are the defaults.  A trace is
+   always Chrome trace-event JSON, whatever its file is called.  An
+   unreadable or invalid input file exits 2 with "squashc: PATH: reason". *)
 
 open Cmdliner
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let write_file path contents =
   match open_out_bin path with
@@ -44,14 +39,23 @@ let write_file path contents =
 
 let write_json path doc = write_file path (Report.Json.to_string doc ^ "\n")
 
-(* The file name picks the format: [.jsonl] is one event per line, any
-   other name gets Chrome trace-event JSON. *)
 let write_trace path tr =
-  if Filename.check_suffix path ".jsonl" then
-    write_file path (Obs.Trace.to_jsonl tr)
-  else write_json path (Obs.Trace.to_chrome tr);
+  write_json path (Obs.Trace.to_chrome tr);
   Printf.printf "trace: %d events (%d dropped) -> %s\n" (Obs.Trace.emitted tr)
     (Obs.Trace.dropped tr) path
+
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline ("squashc: " ^ msg);
+    exit 2
+
+let read_file path = or_die (Report.read_file path)
+
+let read_profile path =
+  or_die
+    (Result.map_error (fun msg -> path ^ ": " ^ msg)
+       (Profile.of_string (read_file path)))
 
 (* Resolve a program argument: workload name, MiniC file, or assembly file. *)
 let load_program arg =
@@ -72,12 +76,6 @@ let load_program arg =
         | Ok p -> Ok (p, None)
         | Error e -> Error (Printf.sprintf "%s: %s" arg e)
     end
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline ("squashc: " ^ msg);
-    exit 2
 
 let prog_arg =
   Arg.(
@@ -283,6 +281,8 @@ let profile_cmd =
   let run prog_name no_squeeze input_files input_texts timing sample_period
       sample_seed merge_files merge_weight decay_arg truncate_arg out =
     let prog, wl = prepare prog_name no_squeeze in
+    (* Read before the training runs, so a bad file fails at once. *)
+    let old_profiles = List.map read_profile merge_files in
     let inputs =
       match (List.map read_file input_files @ input_texts, wl) with
       | (_ :: _ as inputs), _ -> inputs
@@ -314,9 +314,6 @@ let profile_cmd =
         Profile.pp_summary profile;
     (* Lifecycle post-processing: age and fold in old profiles, then
        truncate — the order a production pipeline applies them. *)
-    let old_profiles =
-      List.map (fun path -> or_die (Profile.of_string (read_file path))) merge_files
-    in
     let profile =
       match (old_profiles, decay_arg) with
       | [], None -> profile
@@ -379,8 +376,8 @@ let profdiff_cmd =
           ~doc:"Show the $(docv) blocks whose weight share moved the most.")
   in
   let run a_path b_path max_distance movers =
-    let a = or_die (Profile.of_string (read_file a_path)) in
-    let b = or_die (Profile.of_string (read_file b_path)) in
+    let a = read_profile a_path in
+    let b = read_profile b_path in
     let d = Profile_ops.distance a b in
     Format.printf "a: %a@.b: %a@." Profile.pp_summary a Profile.pp_summary b;
     Printf.printf "distance %.6f\noverlap %.6f\n" d (Profile_ops.overlap a b);
@@ -489,7 +486,7 @@ let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
   let input = resolve_input args.inputs wl in
   let profile =
     match args.profile_file with
-    | Some path -> or_die (Profile.of_string (read_file path))
+    | Some path -> read_profile path
     | None -> fst (Profile.collect prog ~input)
   in
   let options =
@@ -507,9 +504,25 @@ let squash_image ?(options = Squash.default_options) ?check_each ?lint ?prove
   in
   { args; prog; profile; result; run_input }
 
-let run_image ?trace img =
-  Runtime.run ~slots:img.args.cache_slots ?trace img.result.Squash.squashed
-    ~input:img.run_input
+(* Run the program and its squashed image on the run input; a divergence in
+   output or exit code fails the command.  Returns the image's outcome and
+   runtime stats and the program's outcome. *)
+let run_verified ?trace img =
+  let baseline =
+    Vm.run (Vm.of_image (Layout.emit img.prog) ~input:img.run_input)
+  in
+  let outcome, stats =
+    Runtime.run ~slots:img.args.cache_slots ?trace img.result.Squash.squashed
+      ~input:img.run_input
+  in
+  if
+    outcome.Vm.output <> baseline.Vm.output
+    || outcome.Vm.exit_code <> baseline.Vm.exit_code
+  then begin
+    Format.printf "VERIFICATION FAILED: behaviour diverged@.";
+    exit 1
+  end;
+  (outcome, stats, baseline)
 
 let squash_cmd =
   let no_pack = Arg.(value & flag & info [ "no-pack" ] ~doc:"Disable region packing.") in
@@ -586,8 +599,7 @@ let squash_cmd =
           ~doc:"Write an event trace here: the pipeline pass spans and, with \
                 $(b,--verify), the squashed run's decompressions, buffer \
                 entries and stub transitions (simulated-cycle and wall-clock \
-                events on separate tracks).  A $(b,.jsonl) file gets one \
-                event per line; any other name gets Chrome trace-event JSON, \
+                events on separate tracks), as Chrome trace-event JSON \
                 loadable in Perfetto.")
   in
   let run args no_pack no_bsafe no_unswitch sharp_bsafe coder linear_regions
@@ -636,24 +648,13 @@ let squash_cmd =
     end;
     let runtime_stats = ref None in
     if verify then begin
-      let baseline =
-        Vm.run (Vm.of_image (Layout.emit img.prog) ~input:img.run_input)
-      in
-      let outcome, stats = run_image ?trace img in
+      let outcome, stats, baseline = run_verified ?trace img in
       runtime_stats := Some stats;
-      if
-        outcome.Vm.output = baseline.Vm.output
-        && outcome.Vm.exit_code = baseline.Vm.exit_code
-      then
-        Format.printf
-          "verified: identical behaviour; %d decompressions, %d cache hits, \
-           %.2fx cycles@."
-          stats.Runtime.decompressions stats.Runtime.cache_hits
-          (float_of_int outcome.Vm.cycles /. float_of_int baseline.Vm.cycles)
-      else begin
-        Format.printf "VERIFICATION FAILED: behaviour diverged@.";
-        exit 1
-      end
+      Format.printf
+        "verified: identical behaviour; %d decompressions, %d cache hits, \
+         %.2fx cycles@."
+        stats.Runtime.decompressions stats.Runtime.cache_hits
+        (float_of_int outcome.Vm.cycles /. float_of_int baseline.Vm.cycles)
     end;
     (match stats_json with
     | None -> ()
@@ -707,8 +708,11 @@ let attrib_cmd =
                 deltas, with the saved run as side A.")
   in
   let run args json_out compare_file =
+    let saved =
+      Option.map (fun path -> or_die (Attrib.Saved.load_file path)) compare_file
+    in
     let img = squash_image args in
-    let outcome, stats = run_image img in
+    let outcome, stats, _ = run_verified img in
     let a = Attrib.compute ~profile:img.profile img.result stats in
     print_string (Attrib.render a);
     Printf.printf
@@ -727,35 +731,22 @@ let attrib_cmd =
         ("k_bytes", Report.Json.Int args.k_bytes);
         ("slots", Report.Json.Int args.cache_slots) ]
     in
-    (match json_out with
+    let json = Attrib.to_json ~params ~run_cycles:outcome.Vm.cycles a in
+    Option.iter (fun path -> write_json path json) json_out;
+    match saved with
     | None -> ()
-    | Some path ->
-      write_json path (Attrib.to_json ~params ~run_cycles:outcome.Vm.cycles a));
-    match compare_file with
-    | None -> ()
-    | Some path -> (
-      match Attrib.Saved.load_file path with
-      | Error msg ->
-        Printf.eprintf "squashc: %s\n" msg;
-        exit 1
-      | Ok saved ->
-        let here =
-          Attrib.to_saved ~run_cycles:outcome.Vm.cycles
-            ~params:
-              [ ("prog", args.prog_name);
-                ("theta", Printf.sprintf "%g" args.theta);
-                ("k_bytes", string_of_int args.k_bytes);
-                ("slots", string_of_int args.cache_slots) ]
-            a
-        in
-        print_newline ();
-        print_string (Attrib.render_diff saved here))
+    | Some saved ->
+      (* The live run enters the diff through the saved file's reader. *)
+      let here = or_die (Attrib.Saved.of_json json) in
+      print_newline ();
+      print_string (Attrib.render_diff saved here)
   in
   Cmd.v
     (Cmd.info "attrib"
        ~doc:"Per-region runtime-overhead attribution: squash, run the \
-             timing input, and break the decompression cycles down by \
-             region (optionally diffed against a saved run).")
+             timing input (checked against the original program's \
+             behaviour; exit 1 on divergence), and break the decompression \
+             cycles down by region (optionally diffed against a saved run).")
     Term.(const run $ image_args ~theta:0.01 $ json_out $ compare_file)
 
 (* --- stats ------------------------------------------------------------ *)
@@ -811,12 +802,6 @@ let grid_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Write per-cell results as JSON.")
   in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Write per-cell results as CSV.")
-  in
   let stats_flag =
     Arg.(
       value & flag
@@ -830,11 +815,10 @@ let grid_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Trace the grid run and write the export here: the engine's \
                 job submissions and spans, and each computed cell's pass \
-                spans and (with $(b,--timing)) decompressions; one event per \
-                line for a $(b,.jsonl) file, Chrome trace-event JSON \
-                otherwise.")
+                spans and (with $(b,--timing)) decompressions, as Chrome \
+                trace-event JSON.")
   in
-  let run names thetas ks timing cache_slots jobs json_out csv_out stats_flag
+  let run names thetas ks timing cache_slots jobs json_out stats_flag
       trace_out =
     let wls = find_workloads names in
     let trace = Option.map (fun _ -> Obs.Trace.create ()) trace_out in
@@ -872,9 +856,6 @@ let grid_cmd =
            [ ("schema", Report.Json.String "pgcc-grid-v1");
              ("engine", Engine.stats_json stats);
              ("cells", Exp_grid.to_json results) ]));
-    (match csv_out with
-    | None -> ()
-    | Some path -> write_file path (Exp_grid.to_csv results));
     match Exp_grid.failures results with
     | [] -> ()
     | fs ->
@@ -889,7 +870,7 @@ let grid_cmd =
              engine.")
     Term.(
       const run $ workloads_arg "sweep" $ thetas $ ks $ timing $ cache_slots_arg
-      $ jobs $ json_out $ csv_out $ stats_flag $ trace_out)
+      $ jobs $ json_out $ stats_flag $ trace_out)
 
 (* --- benchdiff -------------------------------------------------------- *)
 
@@ -922,14 +903,8 @@ let benchdiff_cmd =
                 counters (default 0: any drift flags).")
   in
   let run file_a file_b threshold counter_threshold =
-    let load f =
-      match Benchdiff.load_file f with
-      | Ok r -> r
-      | Error msg ->
-        Printf.eprintf "squashc: %s\n" msg;
-        exit 2
-    in
-    let a = load file_a and b = load file_b in
+    let a = or_die (Benchdiff.load_file file_a)
+    and b = or_die (Benchdiff.load_file file_b) in
     let report =
       Benchdiff.compare_runs ~wall_threshold:threshold ~counter_threshold a b
     in
@@ -949,7 +924,7 @@ let tracediff_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"A" ~doc:"Baseline trace (chrome or jsonl export).")
+      & info [] ~docv:"A" ~doc:"Baseline trace (a $(b,--trace) export).")
   in
   let file_b =
     Arg.(
@@ -964,14 +939,8 @@ let tracediff_cmd =
           ~doc:"Show only the N largest duration deltas (0 = all).")
   in
   let run file_a file_b top =
-    let load f =
-      match Tracediff.load_file f with
-      | Ok p -> p
-      | Error msg ->
-        Printf.eprintf "squashc: %s\n" msg;
-        exit 2
-    in
-    let a = load file_a and b = load file_b in
+    let a = or_die (Tracediff.load_file file_a)
+    and b = or_die (Tracediff.load_file file_b) in
     let top = if top <= 0 then None else Some top in
     print_string (Tracediff.render ?top a b)
   in

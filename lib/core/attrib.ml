@@ -157,10 +157,9 @@ module Saved = struct
   let of_json doc =
     let module J = Report.Json in
     let int_field ~what j name =
-      match J.member name j with
-      | Some (J.Int i) -> Ok i
-      | Some _ | None ->
-        Error (Printf.sprintf "%s: missing integer field %S" what name)
+      Option.to_result
+        ~none:(Printf.sprintf "%s: missing integer field %S" what name)
+        (Option.bind (J.member name j) J.to_int_opt)
     in
     match J.member "schema" doc with
     | Some (J.String "pgcc-attrib-v1") -> (
@@ -169,11 +168,7 @@ module Saved = struct
         int_field ~what:"attrib json" doc "total_decompressions"
       in
       let* total_cycles = int_field ~what:"attrib json" doc "total_cycles" in
-      let run_cycles =
-        match J.member "run_cycles" doc with
-        | Some (J.Int c) -> Some c
-        | Some _ | None -> None
-      in
+      let run_cycles = Option.bind (J.member "run_cycles" doc) J.to_int_opt in
       let params =
         match J.member "params" doc with
         | Some (J.Obj fields) ->
@@ -225,18 +220,8 @@ module Saved = struct
          pre-v1 files carry no schema)"
 
   let load_file path =
-    match open_in_bin path with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in_noerr ic;
-      (match Report.Json.of_string s with
-      | Error msg -> Error (path ^ ": invalid JSON: " ^ msg)
-      | Ok doc -> (
-        match of_json doc with
-        | Ok v -> Ok v
-        | Error msg -> Error (path ^ ": " ^ msg)))
+    Result.bind (Report.Json.load_file path) (fun doc ->
+        Result.map_error (fun msg -> path ^ ": " ^ msg) (of_json doc))
 
   let overhead_share t =
     match t.run_cycles with
@@ -244,20 +229,6 @@ module Saved = struct
       Some (float_of_int t.total_cycles /. float_of_int rc)
     | Some _ | None -> None
 end
-
-let to_saved ?run_cycles ?(params = []) (a : t) : Saved.t =
-  {
-    Saved.rows =
-      List.map
-        (fun (r : row) ->
-          { Saved.rid = r.rid; decompressions = r.decompressions;
-            cycles = r.cycles; share = r.share })
-        a.rows;
-    total_decompressions = a.total_decompressions;
-    total_cycles = a.total_cycles;
-    run_cycles;
-    params;
-  }
 
 type delta = {
   drid : int;

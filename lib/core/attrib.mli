@@ -43,7 +43,10 @@ val to_json :
     both make the saved file usable as one side of a {!diff}. *)
 
 (** A saved attribution, as reloaded from [squashc attrib --json] output —
-    the subset that supports region-by-region comparison of two runs. *)
+    the subset that supports region-by-region comparison of two runs.  A
+    live attribution enters a diff the same way, as
+    [Saved.of_json (to_json ~params ~run_cycles a)]: the JSON floats round
+    trip exactly. *)
 module Saved : sig
   type row = { rid : int; decompressions : int; cycles : int; share : float }
 
@@ -64,9 +67,6 @@ module Saved : sig
   (** [total_cycles / run_cycles] — the decompression overhead as a share
       of the whole run; [None] when [run_cycles] was not recorded. *)
 end
-
-val to_saved : ?run_cycles:int -> ?params:(string * string) list -> t ->
-  Saved.t
 
 type delta = {
   drid : int;

@@ -13,14 +13,8 @@ type run = {
   counters : (string * float) list;
 }
 
-let to_string_opt = function Some (J.String s) -> Some s | _ -> None
-
-let to_int_opt = function Some (J.Int i) -> Some i | _ -> None
-
-let float_of_json = function
-  | J.Int i -> Some (float_of_int i)
-  | J.Float f -> Some f
-  | _ -> None
+let str name doc = Option.bind (J.member name doc) J.to_string_opt
+let int name doc = Option.bind (J.member name doc) J.to_int_opt
 
 (* Scalar counters of the run's representative runtime sample
    (decompressions, cache hits, ...).  The simulator is deterministic, so
@@ -32,8 +26,7 @@ let counters_of doc =
     match J.member "stats" sample with
     | Some (J.Obj fields) ->
       List.filter_map
-        (fun (k, v) ->
-          match float_of_json v with Some f -> Some (k, f) | None -> None)
+        (fun (k, v) -> Option.map (fun f -> (k, f)) (J.to_float_opt v))
         fields
     | Some _ | None -> [])
   | None -> []
@@ -43,15 +36,15 @@ let experiments_of doc =
   | Some (J.List exps) ->
     List.filter_map
       (fun e ->
-        match to_string_opt (J.member "id" e) with
+        match str "id" e with
         | None -> None
         | Some id ->
           let samples =
             match J.member "samples" e with
-            | Some (J.List l) -> List.filter_map float_of_json l
+            | Some (J.List l) -> List.filter_map J.to_float_opt l
             | Some _ | None -> (
               (* v1 records carry a single wall-clock scalar. *)
-              match Option.bind (J.member "seconds" e) float_of_json with
+              match Option.bind (J.member "seconds" e) J.to_float_opt with
               | Some s -> [ s ]
               | None -> [])
           in
@@ -60,7 +53,7 @@ let experiments_of doc =
   | Some _ | None -> []
 
 let of_json doc =
-  match to_string_opt (J.member "schema" doc) with
+  match str "schema" doc with
   | None -> Error "missing \"schema\" field"
   | Some schema ->
     let known = [ "pgcc-bench-v1"; "pgcc-bench-v2" ] in
@@ -72,10 +65,10 @@ let of_json doc =
       Ok
         {
           schema;
-          rev = to_string_opt (J.member "rev" doc);
-          timestamp = to_string_opt (J.member "timestamp" doc);
-          jobs = to_int_opt (J.member "jobs" doc);
-          repeat = to_int_opt (J.member "repeat" doc);
+          rev = str "rev" doc;
+          timestamp = str "timestamp" doc;
+          jobs = int "jobs" doc;
+          repeat = int "repeat" doc;
           experiments = experiments_of doc;
           counters = counters_of doc;
         }
@@ -86,15 +79,8 @@ let of_string s =
   | Ok doc -> of_json doc
 
 let load_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in_noerr ic;
-    (match of_string s with
-    | Ok r -> Ok r
-    | Error msg -> Error (path ^ ": " ^ msg))
+  Result.bind (J.load_file path) (fun doc ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (of_json doc))
 
 (* --- comparison -------------------------------------------------------- *)
 

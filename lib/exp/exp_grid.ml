@@ -189,29 +189,3 @@ let cell_json (c, outcome) =
           ("error", Engine.error_json e) ])
 
 let to_json results = Report.Json.List (List.map cell_json results)
-
-let to_csv (results : results) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "workload,theta,k_bytes,status,original_words,squashed_words,size_ratio,cycles,baseline_cycles,decompressions\n";
-  List.iter
-    (fun (c, outcome) ->
-      let name = c.wl.Workload.name in
-      let theta = Printf.sprintf "%g" c.options.Squash.theta in
-      let k = string_of_int c.options.Squash.k_bytes in
-      (match outcome with
-      | Ok v ->
-        let timed f = opt_cell (fun t -> string_of_int (f t)) v.timed in
-        Buffer.add_string b
-          (Printf.sprintf "%s,%s,%s,ok,%d,%d,%.6f,%s,%s,%s\n" name theta k
-             v.result.Squash.original_words v.result.Squash.squashed_words
-             (size_ratio v.result)
-             (timed (fun t -> t.outcome.Vm.cycles))
-             (timed (fun t -> t.baseline.Vm.cycles))
-             (timed (fun t -> t.stats.Runtime.decompressions)))
-      | Error e ->
-        Buffer.add_string b
-          (Printf.sprintf "%s,%s,%s,failed:%s,,,,,,\n" name theta k
-             (Engine.kind_to_string e.Engine.kind))))
-    results;
-  Buffer.contents b

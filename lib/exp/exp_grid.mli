@@ -11,7 +11,7 @@
     from {!run}'s results and nothing else: the drivers in {!Experiments}
     declare their cells and read each one back through {!lookup};
     [squashc grid] and the determinism regression render the results with
-    {!render_table}, {!to_json} and {!to_csv}. *)
+    {!render_table} and {!to_json}, the one machine-readable form. *)
 
 type cell = {
   wl : Workload.t;
@@ -86,5 +86,3 @@ val render_table : results -> string
 val to_json : results -> Report.Json.t
 (** Per-cell status and metrics (machine-readable; failed cells carry
     their structured error). *)
-
-val to_csv : results -> string

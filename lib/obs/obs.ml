@@ -68,8 +68,8 @@ module Event = struct
     | Job_submit _ -> "job_submit"
     | Job_finish _ -> "job_finish"
 
-  (* The payload fields as JSON key/value pairs (shared by the JSONL
-     exporter and the Chrome "args" object). *)
+  (* The payload fields as JSON key/value pairs: the Chrome "args"
+     object. *)
   let fields e =
     let open Report.Json in
     match e.payload with
@@ -90,16 +90,6 @@ module Event = struct
     | Job_finish { label; worker; ok; wall_s } ->
       [ ("job", String label); ("worker", Int worker); ("ok", Bool ok);
         ("wall_s", Float wall_s) ]
-
-  let to_json e =
-    let open Report.Json in
-    let clock, ts =
-      match e.ts with
-      | Cycles c -> ("cycles", Int c)
-      | Mono m -> ("mono", Float m)
-    in
-    Obj (("ev", String (name e)) :: ("clock", String clock) :: ("ts", ts)
-        :: fields e)
 end
 
 module Trace = struct
@@ -157,11 +147,6 @@ module Trace = struct
     in
     Mutex.unlock t.m;
     List.map snd (List.sort (fun (ka, _) (kb, _) -> compare ka kb) keyed)
-
-  let header_fields t =
-    [ ("emitted", Report.Json.Int (emitted t));
-      ("dropped", Report.Json.Int (dropped t));
-      ("mono_epoch_offset", Report.Json.Float (Clock.epoch_offset ())) ]
 
   (* --- Chrome trace-event export ---------------------------------- *)
 
@@ -258,27 +243,13 @@ module Trace = struct
     Obj
       [ ("schema", String (Printf.sprintf "pgcc-trace-v%d" schema_version));
         ("displayTimeUnit", String "ms");
-        ("otherData", Obj (header_fields t));
+        ( "otherData",
+          Obj
+            [ ("emitted", Int (emitted t)); ("dropped", Int (dropped t));
+              ("mono_epoch_offset", Float (Clock.epoch_offset ())) ] );
         ( "traceEvents",
           List
             (process_name sim_pid "sq32 simulated cycles"
             :: process_name host_pid "host monotonic clock"
             :: rows) ) ]
-
-  let to_jsonl t =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b
-      (Report.Json.to_string
-         (Report.Json.Obj
-            (( "schema",
-               Report.Json.String
-                 (Printf.sprintf "pgcc-trace-v%d" schema_version) )
-            :: header_fields t)));
-    Buffer.add_char b '\n';
-    List.iter
-      (fun e ->
-        Buffer.add_string b (Report.Json.to_string (Event.to_json e));
-        Buffer.add_char b '\n')
-      (events t);
-    Buffer.contents b
 end

@@ -18,11 +18,11 @@
     export whose timestamps differ.  Timestamps are heterogeneous by
     design: the runtime stamps events in {e simulated cycles} (the clock
     the paper's overhead model runs on), the pipeline and engine stamp in
-    host {e monotonic} seconds ({!Clock}).  Exporters render to the Chrome
-    trace-event JSON format (loadable in Perfetto / [chrome://tracing];
-    simulated and host clocks become separate process tracks) and to
-    JSONL (one event per line, with a header line carrying the schema
-    version, the drop accounting and the monotonic clock's epoch offset).
+    host {e monotonic} seconds ({!Clock}).  The one export format is
+    Chrome trace-event JSON (loadable in Perfetto / [chrome://tracing];
+    simulated and host clocks become separate process tracks), whose
+    header carries the schema version, the drop accounting and the
+    monotonic clock's epoch offset; {!Tracediff} reads it back.
 
     {b Measurement}: {!measure} is the one meter for a host span — its
     start and duration on {!Clock}, and the words it allocated. *)
@@ -80,9 +80,6 @@ module Event : sig
 
   val name : t -> string
   (** Short type tag, e.g. ["decomp_end"]. *)
-
-  val to_json : t -> Report.Json.t
-  (** The JSONL object shape: [{"ev", "clock", "ts", ...fields}]. *)
 end
 
 module Trace : sig
@@ -118,8 +115,4 @@ module Trace : sig
       start.  [otherData] carries the emitted/dropped counts and the
       monotonic clock's epoch offset.  Each span comes from one end event
       and its duration. *)
-
-  val to_jsonl : t -> string
-  (** One JSON object per line; the first line is a header with the schema
-      version, the drop accounting and the epoch offset. *)
 end

@@ -9,25 +9,6 @@ type profile = {
   spans : (string * span) list;  (* sorted by name *)
 }
 
-let float_of_json = function
-  | J.Int i -> Some (float_of_int i)
-  | J.Float f -> Some f
-  | _ -> None
-
-let to_string_opt = function Some (J.String s) -> Some s | _ -> None
-
-let to_int_opt = function Some (J.Int i) -> Some i | _ -> None
-
-(* Aggregation happens through a mutable table keyed by span name; the
-   profile is the table sorted, so two traces of the same run always
-   aggregate identically regardless of event order. *)
-let finish tbl ~schema ~emitted ~dropped =
-  let spans =
-    Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  { schema; emitted; dropped; spans }
-
 let add tbl name us =
   let prev =
     match Hashtbl.find_opt tbl name with
@@ -39,103 +20,46 @@ let add tbl name us =
 
 (* A Chrome trace document: ph="X" events contribute their [dur], ph="i"
    instants count with zero duration, metadata rows are skipped. *)
-let of_chrome doc =
+let of_json doc =
+  let str name j = Option.bind (J.member name j) J.to_string_opt in
   match J.member "traceEvents" doc with
   | Some (J.List evs) ->
     let tbl = Hashtbl.create 64 in
     List.iter
       (fun e ->
-        match (to_string_opt (J.member "ph" e), to_string_opt (J.member "name" e)) with
+        match (str "ph" e, str "name" e) with
         | Some "X", Some name ->
           let dur =
-            match Option.bind (J.member "dur" e) (fun d -> float_of_json d) with
-            | Some d -> d
-            | None -> 0.0
+            Option.value ~default:0.0
+              (Option.bind (J.member "dur" e) J.to_float_opt)
           in
           add tbl name dur
         | Some "i", Some name -> add tbl name 0.0
         | _ -> ())
       evs;
-    let header = J.member "otherData" doc in
     let get name =
-      Option.bind header (fun h -> to_int_opt (J.member name h))
+      Option.bind (J.member "otherData" doc) (fun h ->
+          Option.bind (J.member name h) J.to_int_opt)
+    in
+    (* The profile is the table sorted by name, so two traces of the same
+       run aggregate identically whatever their event order. *)
+    let spans =
+      Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
     Ok
-      (finish tbl
-         ~schema:(to_string_opt (J.member "schema" doc))
-         ~emitted:(get "emitted") ~dropped:(get "dropped"))
+      { schema = str "schema" doc; emitted = get "emitted";
+        dropped = get "dropped"; spans }
   | Some _ | None -> Error "chrome trace: missing \"traceEvents\" list"
 
-(* A JSONL trace: the header line carries schema and drop accounting; end
-   events are re-synthesised into the same span names the Chrome exporter
-   uses (1 simulated cycle rendered as 1 µs), so the two formats diff
-   interchangeably. *)
-let of_jsonl text =
-  let tbl = Hashtbl.create 64 in
-  let schema = ref None and emitted = ref None and dropped = ref None in
-  let bad = ref None in
-  let line_no = ref 0 in
-  String.split_on_char '\n' text
-  |> List.iter (fun line ->
-         incr line_no;
-         let line = String.trim line in
-         if line <> "" && !bad = None then
-           match J.of_string line with
-           | Error msg ->
-             bad := Some (Printf.sprintf "line %d: %s" !line_no msg)
-           | Ok doc -> (
-             match to_string_opt (J.member "ev" doc) with
-             | Some ev ->
-               let str name = to_string_opt (J.member name doc) in
-               let num name =
-                 Option.bind (J.member name doc) (fun v -> float_of_json v)
-               in
-               (match (ev, str "pass", str "job", num "cycles", num "region")
-                with
-               | "decomp_end", _, _, Some cycles, Some region ->
-                 add tbl
-                   (Printf.sprintf "decompress r%d" (int_of_float region))
-                   cycles
-               | "pass_end", Some pass, _, _, _ ->
-                 let us =
-                   match num "elapsed_s" with
-                   | Some s -> 1e6 *. s
-                   | None -> 0.0
-                 in
-                 add tbl ("pass " ^ pass) us
-               | "job_finish", _, Some job, _, _ ->
-                 let us =
-                   match num "wall_s" with Some s -> 1e6 *. s | None -> 0.0
-                 in
-                 add tbl ("job " ^ job) us
-               | _ -> add tbl ev 0.0)
-             | None ->
-               (* The header line. *)
-               schema := to_string_opt (J.member "schema" doc);
-               emitted := to_int_opt (J.member "emitted" doc);
-               dropped := to_int_opt (J.member "dropped" doc)));
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    Ok (finish tbl ~schema:!schema ~emitted:!emitted ~dropped:!dropped)
-
 let of_string text =
-  (* A whole-text parse succeeding means a single JSON document (the
-     Chrome format); JSONL fails that parse at line 2. *)
-  match J.of_string text with
-  | Ok doc -> of_chrome doc
-  | Error _ -> of_jsonl text
+  Result.bind
+    (Result.map_error (fun msg -> "invalid JSON: " ^ msg) (J.of_string text))
+    of_json
 
 let load_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in_noerr ic;
-    (match of_string s with
-    | Ok p -> Ok p
-    | Error msg -> Error (path ^ ": " ^ msg))
+  Result.bind (J.load_file path) (fun doc ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (of_json doc))
 
 type delta = {
   name : string;

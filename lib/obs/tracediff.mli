@@ -1,9 +1,7 @@
 (** Differential span profiles over exported traces.
 
-    Loads a trace in either export format — the Chrome trace-event JSON or
-    the JSONL stream (both schema [pgcc-trace-v3]; a v1 or v2 JSONL
-    stream's begin events load as zero-duration instants) — and reduces
-    it to a {e span profile}: per span name, how
+    Loads a Chrome trace-event export ({!Obs.Trace.to_chrome}, schema
+    [pgcc-trace-v3]) and reduces it to a {e span profile}: per span name, how
     many times it fired and the total duration in microseconds (simulated
     cycles render as 1 cycle = 1 µs, matching the Chrome exporter).  Two
     profiles then diff name-by-name, which answers "where did the time
@@ -20,9 +18,11 @@ type profile = {
 }
 
 val of_string : string -> (profile, string) result
-(** Accepts a Chrome trace document or JSONL text (auto-detected). *)
+(** Reads a Chrome trace document. *)
 
 val load_file : string -> (profile, string) result
+(** {!of_string} of a file, read through {!Report.Json.load_file}; errors
+    begin with the path. *)
 
 type delta = {
   name : string;

@@ -6,6 +6,16 @@ let gmean values =
     let n = float_of_int (List.length positive) in
     exp (List.fold_left (fun acc v -> acc +. log v) 0.0 positive /. n)
 
+(* [Sys_error] names the path when opening fails but not when reading
+   does (a directory opens, then fails with "Is a directory"). *)
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg ->
+    Error
+      (if String.starts_with ~prefix:(path ^ ": ") msg then msg
+       else path ^ ": " ^ msg)
+
 module Table = struct
   type align = Left | Right
 
@@ -27,20 +37,27 @@ module Table = struct
   let cell_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
   let cell_percent ?(decimals = 1) v = Printf.sprintf "%.*f%%" decimals (100.0 *. v)
 
+  (* Display width in UTF-8 code points: every byte but a continuation
+     byte (0b10xxxxxx) starts one, so "θ" pads as one column, not two. *)
+  let width s =
+    let n = ref 0 in
+    String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+    !n
+
   let render t =
     let rows = List.rev t.rows in
     let ncols = List.length t.headers in
     let widths = Array.make ncols 0 in
-    List.iteri (fun i (h, _) -> widths.(i) <- String.length h) t.headers;
+    List.iteri (fun i (h, _) -> widths.(i) <- width h) t.headers;
     List.iter
       (function
         | `Sep -> ()
         | `Row cells ->
-          List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cells)
+          List.iteri (fun i c -> widths.(i) <- max widths.(i) (width c)) cells)
       rows;
     let buf = Buffer.create 1024 in
-    let pad align width s =
-      let fill = String.make (max 0 (width - String.length s)) ' ' in
+    let pad align w s =
+      let fill = String.make (max 0 (w - width s)) ' ' in
       match align with Left -> s ^ fill | Right -> fill ^ s
     in
     let total_width =
@@ -323,6 +340,15 @@ module Json = struct
     | Int i -> Some (float_of_int i)
     | Float f -> Some f
     | _ -> None
+
+  let to_int_opt = function Int i -> Some i | _ -> None
+
+  let to_string_opt = function String s -> Some s | _ -> None
+
+  let load_file path =
+    Result.bind (read_file path) (fun text ->
+        Result.map_error (fun msg -> path ^ ": invalid JSON: " ^ msg)
+          (of_string text))
 end
 
 module Stats = struct

@@ -1,10 +1,16 @@
 (** Table and chart rendering for the experiment harness: aligned ASCII
     tables (the paper's tables) and simple line charts (its figures), plus
-    the geometric-mean helper the paper uses for its summary bars. *)
+    the geometric-mean helper the paper uses for its summary bars; also the
+    JSON codec and the one whole-file reader behind every saved
+    artifact. *)
 
 val gmean : float list -> float
 (** Geometric mean; ignores non-positive values (which would otherwise
     poison the product — the paper's means are over positive ratios). *)
+
+val read_file : string -> (string, string) result
+(** The whole file; an error (the file is missing or unreadable) begins
+    with the path. *)
 
 module Table : sig
   type align = Left | Right
@@ -15,6 +21,8 @@ module Table : sig
   val add_row : t -> string list -> unit
   val add_separator : t -> unit
   val render : t -> string
+  (** Columns are padded by UTF-8 code points, so a header such as
+      ["γ at θ=1.0"] lines up with the cells below it. *)
 
   val cell_float : ?decimals:int -> float -> string
   val cell_percent : ?decimals:int -> float -> string
@@ -49,6 +57,16 @@ module Json : sig
 
   val to_float_opt : t -> float option
   (** Numeric coercion: [Int] and [Float] only. *)
+
+  val to_int_opt : t -> int option
+  (** [Int] only. *)
+
+  val to_string_opt : t -> string option
+
+  val load_file : string -> (t, string) result
+  (** {!read_file} and parse: the one way a saved JSON artifact is
+      opened.  Errors (unreadable file, invalid JSON) begin with the
+      path. *)
 end
 
 module Stats : sig

@@ -283,6 +283,49 @@ let attrib_diff_tests =
           Alcotest.(check (option (float 1e-9)))
             "overhead share" (Some 0.25)
             (Attrib.Saved.overhead_share b));
+    Alcotest.test_case
+      "an attribution saved and reloaded diffs to zero against the live one"
+      `Quick (fun () ->
+        (* Shares of 1/3 and 2/3 have no short decimal form, so a lossy
+           float writer would show a non-zero share delta here. *)
+        let row rid cycles =
+          { Attrib.rid; blocks = 1; stream_words = 8; buffer_words = 8;
+            bits = 64; max_freq = 0; decompressions = 1; cycles;
+            share = float_of_int cycles /. 3000.0; funcs = [ "f" ] }
+        in
+        let a =
+          { Attrib.rows = [ row 1 2000; row 0 1000 ];
+            total_decompressions = 2; total_cycles = 3000 }
+        in
+        let json =
+          Attrib.to_json
+            ~params:
+              [ ("prog", Report.Json.String "synthetic");
+                ("theta", Report.Json.Float 0.01) ]
+            ~run_cycles:7000 a
+        in
+        let path = Filename.temp_file "attrib" ".json" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (Report.Json.to_string json));
+            let of_ok = function
+              | Ok v -> v
+              | Error msg -> Alcotest.failf "load: %s" msg
+            in
+            let saved = of_ok (Attrib.Saved.load_file path) in
+            let live = of_ok (Attrib.Saved.of_json json) in
+            Alcotest.(check bool) "identical" true (saved = live);
+            List.iter
+              (fun d ->
+                Alcotest.(check int) "zero cycle delta" d.Attrib.cycles_a
+                  d.Attrib.cycles_b;
+                Alcotest.(check (float 0.0)) "zero share delta"
+                  d.Attrib.share_a d.Attrib.share_b)
+              (Attrib.diff saved live);
+            Alcotest.(check bool) "params read back" true
+              (List.assoc "theta" live.Attrib.Saved.params = "0.01")));
     Alcotest.test_case "the diff is signed and sorted by |delta|" `Quick
       (fun () ->
         let a =
@@ -322,7 +365,7 @@ let attrib_diff_tests =
 
 let tracediff_tests =
   [
-    Alcotest.test_case "chrome and jsonl exports profile identically" `Quick
+    Alcotest.test_case "a chrome export profiles its spans" `Quick
       (fun () ->
         let tr = Obs.Trace.create ~capacity:64 () in
         let emit ts p = Obs.Trace.emit tr { Obs.Event.ts; payload = p } in
@@ -336,31 +379,23 @@ let tracediff_tests =
           (Obs.Event.Pass_end { name = "huffman"; elapsed_s = 0.25 });
         emit (Obs.Event.Cycles 400)
           (Obs.Event.Cache_evict { region = 0; slot = 0 });
-        let of_ok = function
+        let p =
+          match
+            Tracediff.of_string
+              (Report.Json.to_string (Obs.Trace.to_chrome tr))
+          with
           | Ok p -> p
           | Error msg -> Alcotest.failf "parse failed: %s" msg
         in
-        let from_chrome =
-          of_ok
-            (Tracediff.of_string
-               (Report.Json.to_string (Obs.Trace.to_chrome tr)))
-        in
-        let from_jsonl =
-          of_ok (Tracediff.of_string (Obs.Trace.to_jsonl tr))
-        in
-        Alcotest.(check bool) "same spans" true
-          (from_chrome.Tracediff.spans = from_jsonl.Tracediff.spans);
-        let decomp =
-          List.assoc "decompress r0" from_chrome.Tracediff.spans
-        in
+        let decomp = List.assoc "decompress r0" p.Tracediff.spans in
         Alcotest.(check int) "decomp count" 2 decomp.Tracediff.count;
         Alcotest.(check (float 1e-6)) "decomp cycles-as-us" 100.0
           decomp.Tracediff.total_us;
-        let pass = List.assoc "pass huffman" from_chrome.Tracediff.spans in
+        let pass = List.assoc "pass huffman" p.Tracediff.spans in
         Alcotest.(check (float 1e-3)) "pass us" 250_000.0
           pass.Tracediff.total_us;
-        Alcotest.(check int) "headers agree" 4
-          (Option.get from_jsonl.Tracediff.emitted);
+        Alcotest.(check int) "header emitted" 4
+          (Option.get p.Tracediff.emitted);
         (* Self-diff is all zeros. *)
         List.iter
           (fun (d : Tracediff.delta) ->
@@ -368,7 +403,7 @@ let tracediff_tests =
               (d.Tracediff.name ^ " zero delta")
               0.0
               (d.Tracediff.us_b -. d.Tracediff.us_a))
-          (Tracediff.diff from_chrome from_jsonl));
+          (Tracediff.diff p p));
     Alcotest.test_case "the diff surfaces the changed span" `Quick (fun () ->
         let mk cycles =
           let tr = Obs.Trace.create ~capacity:16 () in
@@ -381,7 +416,10 @@ let tracediff_tests =
             { Obs.Event.ts = Obs.Event.Mono 1.0;
               payload = Obs.Event.Pass_end { name = "cold"; elapsed_s = 0.1 }
             };
-          match Tracediff.of_string (Obs.Trace.to_jsonl tr) with
+          match
+            Tracediff.of_string
+              (Report.Json.to_string (Obs.Trace.to_chrome tr))
+          with
           | Ok p -> p
           | Error msg -> Alcotest.failf "parse failed: %s" msg
         in

@@ -33,13 +33,16 @@ let check_exit what expected (code, stdout, stderr) =
     Alcotest.failf "%s: exit %d, expected %d\nstdout:\n%s\nstderr:\n%s" what
       code expected stdout stderr
 
-(* Every line of a JSONL export parses; returns the line count. *)
-let jsonl_lines path =
-  In_channel.with_open_bin path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-  |> List.map (fun l -> ignore (Json_check.parse l))
-  |> List.length
+(* The file parses as one Chrome trace document; returns its row count. *)
+let chrome_rows path =
+  let doc =
+    Json_check.parse (In_channel.with_open_bin path In_channel.input_all)
+  in
+  Alcotest.(check bool) "schema" true
+    (Json_check.member "schema" doc = Some (Json_check.Str "pgcc-trace-v3"));
+  match Json_check.member_exn "traceEvents" doc with
+  | Json_check.Arr rows -> List.length rows
+  | _ -> Alcotest.fail "traceEvents is not a list"
 
 let tests =
   [
@@ -128,19 +131,50 @@ let tests =
                   | _ -> Alcotest.failf "pass %s: alloc_words not > 0" name)
                 passes
             | _ -> Alcotest.fail "pipeline.passes is not a non-empty list"));
-    Alcotest.test_case "a .jsonl trace name writes JSONL" `Quick (fun () ->
+    Alcotest.test_case "any --trace name writes Chrome JSON" `Quick
+      (fun () ->
         with_output ".jsonl" (fun path ->
             check_exit "squash --trace t.jsonl" 0
               (run
                  [ "squash"; "gsm"; "--theta"; "0.01"; "--verify"; "--trace";
                    path ]);
-            Alcotest.(check bool) "header and events" true
-              (jsonl_lines path > 1));
-        with_output ".jsonl" (fun path ->
-            check_exit "grid --trace g.jsonl" 0
+            Alcotest.(check bool) "metadata and events" true
+              (chrome_rows path > 2));
+        with_output ".trace" (fun path ->
+            check_exit "grid --trace g.trace" 0
               (run [ "grid"; "gsm"; "--theta"; "0.01"; "--trace"; path ]);
-            Alcotest.(check bool) "header and events" true
-              (jsonl_lines path > 1)));
+            Alcotest.(check bool) "metadata and events" true
+              (chrome_rows path > 2)));
+    Alcotest.test_case "an unreadable or invalid input file exits 2" `Quick
+      (fun () ->
+        let tmp = Filename.get_temp_dir_name () in
+        let missing = Filename.concat tmp "no-such-squashc-input" in
+        with_output ".txt" (fun garbage ->
+            Out_channel.with_open_bin garbage (fun oc ->
+                output_string oc "not a saved artifact\n");
+            List.iter
+              (fun (path, args) ->
+                let what = String.concat " " args in
+                let ((_, _, stderr) as r) = run args in
+                check_exit what 2 r;
+                Alcotest.(check bool)
+                  (what ^ " names the path") true
+                  (contains stderr ("squashc: " ^ path ^ ": ")))
+              [ (missing, [ "tracediff"; missing; garbage ]);
+                (garbage, [ "tracediff"; garbage; garbage ]);
+                (missing, [ "benchdiff"; missing; garbage ]);
+                (garbage, [ "benchdiff"; garbage; garbage ]);
+                (missing, [ "profdiff"; missing; garbage ]);
+                (garbage, [ "profdiff"; garbage; garbage ]);
+                (missing, [ "attrib"; "gsm"; "--compare"; missing ]);
+                (garbage, [ "attrib"; "gsm"; "--compare"; garbage ]);
+                (missing, [ "squash"; "gsm"; "--profile"; missing ]);
+                (garbage, [ "squash"; "gsm"; "--profile"; garbage ]);
+                (missing, [ "profile"; "gsm"; "--merge"; missing ]);
+                (garbage, [ "profile"; "gsm"; "--merge"; garbage ]);
+                (missing, [ "run"; "gsm"; "--input-file"; missing ]);
+                (* A directory opens but cannot be read. *)
+                (tmp, [ "run"; "gsm"; "--input-file"; tmp ]) ]));
     Alcotest.test_case "lint and prove pass" `Quick (fun () ->
         check_exit "lint" 0 (run [ "lint"; "gsm"; "--theta"; "0.01" ]);
         check_exit "prove" 0

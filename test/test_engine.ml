@@ -374,7 +374,8 @@ let render_run ~jobs cells =
   Exp_data.reset ();
   let results, stats = Exp_grid.run ~jobs cells in
   Alcotest.(check int) "no cell failed" 0 stats.Engine.failed;
-  Exp_grid.render_table results ^ Exp_grid.to_csv results
+  Exp_grid.render_table results
+  ^ Report.Json.to_string (Exp_grid.to_json results)
 
 let determinism_tests =
   [

@@ -25,6 +25,23 @@ let unit_tests =
         | [ l1; l2 ] ->
           Alcotest.(check int) "width" (String.length l2) (String.length l1)
         | _ -> Alcotest.fail "unexpected table layout");
+    Alcotest.test_case "table pads multi-byte text by code points" `Quick
+      (fun () ->
+        let t =
+          Report.Table.create ~title:"T"
+            [ ("Program", Report.Table.Left);
+              ("γ at θ=1.0", Report.Table.Right) ]
+        in
+        Report.Table.add_row t [ "adpcm"; "0.45" ];
+        Report.Table.add_row t [ "Δ"; "1.00" ];
+        Alcotest.(check string) "rendered"
+          "T\n\
+           ===================\n\
+           Program  γ at θ=1.0\n\
+           -------------------\n\
+           adpcm          0.45\n\
+           Δ              1.00\n"
+          (Report.Table.render t));
     Alcotest.test_case "table rejects ragged rows" `Quick (fun () ->
         let t = Report.Table.create ~title:"T" [ ("a", Report.Table.Left) ] in
         match Report.Table.add_row t [ "x"; "y" ] with
