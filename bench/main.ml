@@ -8,6 +8,7 @@
      dune exec bench/main.exe -- micro         # microbenchmarks only
      dune exec bench/main.exe -- --json FILE   # also write machine-readable
                                                # wall-clock + key metrics
+                                               # (unwritable FILE: exit 1)
      dune exec bench/main.exe -- --jobs N      # engine pool size (default:
                                                # $JOBS, then domain count)
      dune exec bench/main.exe -- --repeat N    # time each experiment N times,
@@ -277,20 +278,30 @@ let () =
       ("setup_seconds", Report.Json.Float setup);
       ("total_seconds", Report.Json.Float total) ]
   in
-  (match !json with
-  | None -> ()
-  | Some file ->
-    let doc =
-      Report.Json.Obj
-        (provenance
-        @ [ ("experiments", experiments ~metrics:true);
-            ("runtime_sample", runtime_sample) ])
-    in
-    let oc = open_out file in
-    output_string oc (Report.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" file);
+  (* An unwritable JSON file fails the run, but only after the ledger line
+     and the failed cells below. *)
+  let json_ok =
+    match !json with
+    | None -> true
+    | Some file -> (
+      let doc =
+        Report.Json.Obj
+          (provenance
+          @ [ ("experiments", experiments ~metrics:true);
+              ("runtime_sample", runtime_sample) ])
+      in
+      match
+        Out_channel.with_open_text file (fun oc ->
+            output_string oc (Report.Json.to_string doc);
+            output_char oc '\n')
+      with
+      | () ->
+        Printf.printf "wrote %s\n" file;
+        true
+      | exception Sys_error msg ->
+        Printf.eprintf "bench: cannot write %s\n%!" msg;
+        false)
+  in
   (if not !no_ledger then
      let entry =
        Report.Json.Obj
@@ -312,7 +323,7 @@ let () =
     (fun (id, fs) -> Printf.eprintf "%s: failed cells %s\n" id (Report.Json.to_string fs))
     failed;
   match List.rev !unknown with
-  | [] -> if failed <> [] then exit 1
+  | [] -> if failed <> [] || not json_ok then exit 1
   | ids ->
     Printf.eprintf "unknown experiment%s: %s\nvalid ids: %s micro\n"
       (if List.length ids > 1 then "s" else "")

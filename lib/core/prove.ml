@@ -59,14 +59,11 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
   let p = sq.Rewrite.prog in
   let func_of = Hashtbl.create 64 in
   List.iter (fun (f : Prog.Func.t) -> Hashtbl.replace func_of f.name f) p.Prog.funcs;
-  let block_tbl = Hashtbl.create 256 in
-  List.iter (fun (k, a) -> Hashtbl.replace block_tbl k a) sq.Rewrite.block_addrs;
-  let table_tbl = Hashtbl.create 16 in
-  List.iter (fun (k, a) -> Hashtbl.replace table_tbl k a) sq.Rewrite.table_addrs;
+  let image = sq.Rewrite.image in
   let oracle =
     {
-      Equiv.func_addr = (fun g -> Hashtbl.find_opt block_tbl (g, 0));
-      table_addr = (fun k -> Hashtbl.find_opt table_tbl k);
+      Equiv.func_addr = (fun g -> Hashtbl.find_opt image.Layout.block_addr (g, 0));
+      table_addr = Hashtbl.find_opt image.Layout.table_addr;
     }
   in
   let failures = ref [] in
@@ -162,7 +159,7 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
             let target_matches t key =
               match t with
               | `Buffer w -> Hashtbl.find_opt img.Rewrite.block_offset key = Some w
-              | `Text a -> Hashtbl.find_opt block_tbl key = Some a
+              | `Text a -> Hashtbl.find_opt image.Layout.block_addr key = Some a
             in
             for idx = 0 to nblocks - 1 do
               let ((fname, bi) as key) = rkeys.(idx) in

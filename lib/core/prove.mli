@@ -16,7 +16,7 @@
     + proves that registers, observable effects (stores and system
       calls) and the typed exit match: branch targets resolve to the
       same block (through the buffer offset for intra-region edges,
-      through {!Rewrite.block_addrs} for external ones), calls name the
+      through the image's [block_addr] for external ones), calls name the
       same callee with the continuation landing on [return_to]'s first
       word, and expanded calls follow the CreateStub protocol shape.
 

@@ -7,7 +7,7 @@ type region_image = {
 
 type t = {
   prog : Prog.t;
-  text : Easm.image;
+  image : Layout.image;
   images : region_image array;
   blob : string;
   blob_offsets : int array;
@@ -20,19 +20,10 @@ type t = {
   buffer_words : int;
   decomp_base : int;
   decomp_words : int;
-  entry_addr : int;
   entry_stub_words : int;
   push_form_stubs : int;
   stub_addrs : ((string * int) * int) list;
       (* entry-point block -> address of its entry stub *)
-  func_entry_addrs : (string * int) list;
-      (* function -> address of its block-0 label (code or entry stub);
-         omits functions whose block 0 was removed as a region interior *)
-  block_addrs : ((string * int) * int) list;
-      (* every bound block label -> its text address: hot blocks and
-         region entry stubs (region interiors have no address) *)
-  table_addrs : ((string * int) * int) list;
-      (* (function, table id) -> address of the retained jump table *)
 }
 
 let blob_base = 0x20_0000
@@ -208,131 +199,57 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
       (fun r -> layout_region ~region_of ~buffer_safe ~fully_in r block_of)
       regions.Regions.regions
   in
-  (* Phase 2: emit the never-compressed text. *)
-  let asm = Easm.create ~base:Layout.text_base in
-  let block_labels = Hashtbl.create 256 in
-  let table_labels = Hashtbl.create 16 in
+  (* Phase 2: emit the never-compressed text through the canonical layout:
+     hot blocks as code, region entry blocks as inline stubs, other region
+     blocks as nothing, then the decompressor's code area.  That area holds
+     one entry point per return-address register, the push form's entry and
+     one CreateStub entry per register ({!decomp_entry} and its siblings);
+     the stubs branch to the first two kinds through these labels. *)
+  if decomp_words < (2 * Reg.count) + 1 then
+    failwith "Rewrite.build: decomp_words too small";
+  let decomp_labels =
+    Array.init (Reg.count + 1) (fun r -> Easm.fresh_label (Printf.sprintf "decomp.%d" r))
+  in
   let entry_stub_words = ref 0 in
   let push_form_stubs = ref 0 in
-  List.iter
-    (fun (f : Prog.Func.t) ->
-      Array.iteri
-        (fun i _ ->
-          let kind =
-            match Hashtbl.find_opt region_of (f.name, i) with
-            | None -> "blk"
-            | Some _ -> "stub"
-          in
-          Hashtbl.replace block_labels (f.name, i)
-            (Easm.fresh_label asm (Printf.sprintf "%s.%s%d" f.name kind i)))
-        f.blocks;
-      Array.iteri
-        (fun tid _ ->
-          Hashtbl.replace table_labels (f.name, tid)
-            (Easm.fresh_label asm (Printf.sprintf "%s.table%d" f.name tid)))
-        f.tables)
-    p.funcs;
-  let decomp_entry_labels =
-    Array.init Reg.count (fun r -> Easm.fresh_label asm (Printf.sprintf "decomp.r%d" r))
+  let entry_stub lv rid (fname, i) asm =
+    let block_offset, _, _ = layouts.(rid) in
+    let off = Hashtbl.find block_offset (fname, i) in
+    if rid > 0xFFFF || off > 0xFFFF then failwith "Rewrite.build: tag field overflow";
+    let tag = (rid lsl 16) lor off in
+    match Cfg.free_regs_at_entry (Lazy.force lv) i with
+    | rf :: _ ->
+      Easm.branch asm `Bsr rf decomp_labels.(rf);
+      Easm.word asm tag;
+      entry_stub_words := !entry_stub_words + 2
+    | [] ->
+      Easm.instr asm (Instr.Mem { op = Instr.Stw; ra = Reg.ra; rb = Reg.sp; disp = -4 });
+      Easm.branch asm `Bsr Reg.ra decomp_labels.(Reg.count);
+      Easm.word asm tag;
+      entry_stub_words := !entry_stub_words + 3;
+      incr push_form_stubs
   in
-  let decomp_push_label = Easm.fresh_label asm "decomp.push" in
-  let cs_labels =
-    Array.init Reg.count (fun r -> Easm.fresh_label asm (Printf.sprintf "cstub.r%d" r))
+  let place (f : Prog.Func.t) =
+    let lv = lazy (Cfg.liveness f) in
+    fun i ->
+      match Hashtbl.find_opt region_of (f.name, i) with
+      | None -> Layout.Code
+      | Some rid when Regions.is_entry regions f.name i ->
+        Layout.Stub (entry_stub lv rid (f.name, i))
+      | Some _ -> Layout.Absent
   in
-  let label_of key = Hashtbl.find block_labels key in
-  (* Emit each function: hot blocks as code, region entry blocks as inline
-     stubs, other region blocks as nothing. *)
-  List.iter
-    (fun (f : Prog.Func.t) ->
-      let lv = lazy (Cfg.liveness f) in
-      let n = Array.length f.blocks in
-      Array.iteri
-        (fun i (b : Prog.Block.t) ->
-          Easm.set_owner asm (Some (f.name, i));
-          match Hashtbl.find_opt region_of (f.name, i) with
-          | Some rid ->
-            if Regions.is_entry regions f.name i then begin
-              Easm.bind asm (label_of (f.name, i));
-              let block_offset, _, _ = layouts.(rid) in
-              let off = Hashtbl.find block_offset (f.name, i) in
-              if rid > 0xFFFF || off > 0xFFFF then
-                failwith "Rewrite.build: tag field overflow";
-              let tag = (rid lsl 16) lor off in
-              match Cfg.free_regs_at_entry (Lazy.force lv) i with
-              | rf :: _ ->
-                Easm.branch asm `Bsr rf decomp_entry_labels.(rf);
-                Easm.word asm tag;
-                entry_stub_words := !entry_stub_words + 2
-              | [] ->
-                Easm.instr asm
-                  (Instr.Mem { op = Instr.Stw; ra = Reg.ra; rb = Reg.sp; disp = -4 });
-                Easm.branch asm `Bsr Reg.ra decomp_push_label;
-                Easm.word asm tag;
-                entry_stub_words := !entry_stub_words + 3;
-                incr push_form_stubs
-            end
-          | None -> (
-            Easm.bind asm (label_of (f.name, i));
-            List.iter
-              (fun item ->
-                match item with
-                | Prog.Instr ins -> Easm.instr asm ins
-                | Prog.Load_addr (r, Prog.Func_addr g) ->
-                  Easm.load_addr asm r (label_of (g, 0))
-                | Prog.Load_addr (r, Prog.Table_addr tid) ->
-                  Easm.load_addr asm r (Hashtbl.find table_labels (f.name, tid)))
-              b.items;
-            let goto d =
-              if not (d = i + 1 && i + 1 < n) then
-                Easm.branch asm `Br Reg.zero (label_of (f.name, d))
-            in
-            match b.term with
-            | Prog.Fallthrough d -> goto d
-            | Prog.Jump d -> Easm.branch asm `Br Reg.zero (label_of (f.name, d))
-            | Prog.Branch (c, r, taken, fall) ->
-              Easm.cbranch asm c r (label_of (f.name, taken));
-              goto fall
-            | Prog.Call { ra; callee; return_to = _ } ->
-              Easm.branch asm `Bsr ra (label_of (callee, 0))
-            | Prog.Call_indirect { ra; rb; return_to = _ } ->
-              Easm.instr asm (Instr.Jsr { ra; rb; hint = 0 })
-            | Prog.Jump_indirect { rb; table = _ } ->
-              Easm.instr asm (Instr.Jmp { ra = Reg.zero; rb; hint = 0 })
-            | Prog.Return { rb } ->
-              Easm.instr asm (Instr.Ret { ra = Reg.zero; rb; hint = 0 })
-            | Prog.No_return -> ()))
-        f.blocks;
-      Easm.set_owner asm None;
-      (* Retained jump tables: entries point at code or entry stubs. *)
-      Array.iteri
-        (fun tid entries ->
-          Easm.bind asm (Hashtbl.find table_labels (f.name, tid));
-          Array.iter (fun d -> Easm.addr_word asm (label_of (f.name, d))) entries)
-        f.tables)
-    p.funcs;
-  (* The decompressor's code area: entry points hooked by the VM; filled
-     with sentinels so a stray jump traps. *)
-  let decomp_base = Easm.here asm in
-  Array.iter
-    (fun l ->
-      Easm.bind asm l;
-      Easm.word asm (Instr.encode Instr.Sentinel))
-    decomp_entry_labels;
-  Easm.bind asm decomp_push_label;
-  Easm.word asm (Instr.encode Instr.Sentinel);
-  Array.iter
-    (fun l ->
-      Easm.bind asm l;
-      Easm.word asm (Instr.encode Instr.Sentinel))
-    cs_labels;
-  let used = (Easm.here asm - decomp_base) / 4 in
-  if used > decomp_words then failwith "Rewrite.build: decomp_words too small";
-  for _ = used + 1 to decomp_words do
-    Easm.word asm (Instr.encode Instr.Sentinel)
-  done;
-  let text = Easm.finish asm in
-  let addr_of key = Easm.resolve asm (label_of key) in
-  let table_addr_of key = Easm.resolve asm (Hashtbl.find table_labels key) in
+  (* The VM hooks the entry points; every word of the area is a sentinel so
+     that a stray jump traps. *)
+  let decomp_area asm =
+    for w = 0 to decomp_words - 1 do
+      if w < Array.length decomp_labels then Easm.bind asm decomp_labels.(w);
+      Easm.word asm (Instr.encode Instr.Sentinel)
+    done
+  in
+  let image = Layout.emit ~place ~tail:decomp_area p in
+  let decomp_base = Option.get (Easm.address decomp_labels.(0)) in
+  let addr_of key = Hashtbl.find image.Layout.block_addr key in
+  let table_addr_of key = Hashtbl.find image.Layout.table_addr key in
   (* Phase 3: region image contents. *)
   let pc_rel ~word_index target =
     let pc_next = buffer_base + (4 * (word_index + 1)) in
@@ -401,43 +318,14 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
   let buffer_words =
     2 + Array.fold_left (fun acc (img : region_image) -> max acc img.buffer_words) 0 images
   in
-  let entry_addr = addr_of (p.entry, 0) in
   let stub_addrs =
     Hashtbl.fold
       (fun key () acc -> (key, addr_of key) :: acc)
       regions.Regions.entries []
   in
-  let label_bound fname i =
-    match Hashtbl.find_opt region_of (fname, i) with
-    | None -> true
-    | Some _ -> Regions.is_entry regions fname i
-  in
-  let func_entry_addrs =
-    List.filter_map
-      (fun (f : Prog.Func.t) ->
-        if label_bound f.name 0 then Some (f.name, addr_of (f.name, 0)) else None)
-      p.funcs
-  in
-  let block_addrs =
-    List.concat_map
-      (fun (f : Prog.Func.t) ->
-        List.filter_map Fun.id
-          (List.init (Array.length f.blocks) (fun i ->
-               if label_bound f.name i then
-                 Some ((f.name, i), addr_of (f.name, i))
-               else None)))
-      p.funcs
-  in
-  let table_addrs =
-    List.concat_map
-      (fun (f : Prog.Func.t) ->
-        List.init (Array.length f.tables) (fun tid ->
-            ((f.name, tid), table_addr_of (f.name, tid))))
-      p.funcs
-  in
   {
     prog = p;
-    text;
+    image;
     images;
     blob;
     blob_offsets;
@@ -450,19 +338,15 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
     buffer_words;
     decomp_base;
     decomp_words;
-    entry_addr;
     entry_stub_words = !entry_stub_words;
     push_form_stubs = !push_form_stubs;
     stub_addrs;
-    func_entry_addrs;
-    block_addrs;
-    table_addrs;
   }
 
 let blob_words t = ((8 * String.length t.blob) + 31) / 32
 let offset_table_words t = Array.length t.images
 let code_table_words t = (Compress.table_bits t.codes + 31) / 32
-let never_compressed_words t = Array.length t.text.Easm.words
+let never_compressed_words t = Layout.text_words t.image
 
 let total_words t =
   never_compressed_words t + offset_table_words t + blob_words t + code_table_words t

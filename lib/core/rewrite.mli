@@ -14,12 +14,15 @@
     0x40_0000  data segment (unchanged)
     v}
 
-    Entry stubs are emitted {e in place} — at the position their block
-    would have occupied — so fallthrough edges and call-return paths from
-    never-compressed code land on the right stub with no extra jumps.  A
-    2-word stub uses a register that the liveness analysis proves dead at
-    the block entry; when none exists the 3-word push form is used
-    (paper, Section 2.3). *)
+    The never-compressed text ([image]) is the program's canonical layout,
+    emitted by the same {!Layout.emit}: this module only decides, per
+    region block, between an entry stub and nothing, and appends the
+    decompressor's area.  Entry stubs are thus emitted {e in place} — at
+    the position their block would have occupied — so fallthrough edges
+    and call-return paths from never-compressed code land on the right
+    stub with no extra jumps.  A 2-word stub uses a register that the
+    liveness analysis proves dead at the block entry; when none exists the
+    3-word push form is used (paper, Section 2.3). *)
 
 type region_image = {
   rid : int;
@@ -35,7 +38,19 @@ type region_image = {
 
 type t = {
   prog : Prog.t;  (** The (unswitched) program the image was built from. *)
-  text : Easm.image;
+  image : Layout.image;
+      (** The never-compressed text: [prog]'s canonical layout
+          ({!Layout.emit}) with each region entry block replaced by its
+          entry stub and every other region block dropped, followed by the
+          decompressor's [decomp_words] sentinel words.  Its [block_addr]
+          holds the hot blocks and entry stubs only (region interiors exist
+          only in the compressed stream), so a function's entry is its
+          block 0 there unless that block is a region interior (possible
+          only for uncalled functions).  It is the address oracle the
+          equivalence prover ({!Prove}) resolves external branch and call
+          targets against and the reverse map {!Verify} names the callee
+          of a plain [bsr] left in compressed code through; [table_addr]
+          holds every retained jump table. *)
   images : region_image array;
   blob : string;  (** Compressed bitstream bytes. *)
   blob_offsets : int array;  (** Bit offset of each region. *)
@@ -49,27 +64,11 @@ type t = {
   buffer_words : int;  (** Allocated buffer size (max region + 2). *)
   decomp_base : int;
   decomp_words : int;
-  entry_addr : int;
   (* Stub accounting: *)
   entry_stub_words : int;  (** Total words spent on entry stubs. *)
   push_form_stubs : int;  (** Entry stubs that had to use the 3-word form. *)
   stub_addrs : ((string * int) * int) list;
       (** Address of each entry point's stub, keyed by (function, block). *)
-  func_entry_addrs : (string * int) list;
-      (** Address of each function's block-0 label — real code or an entry
-          stub.  Functions whose block 0 was removed as a region interior
-          (possible only for uncalled functions) are omitted.  This is the
-          reverse map {!Verify} uses to name the callee of a plain [bsr]
-          the rewrite left in compressed code. *)
-  block_addrs : ((string * int) * int) list;
-      (** Text address of every {e bound} block label — hot blocks and
-          region entry stubs.  Region interiors have no address (their
-          code exists only in the compressed stream), so they are absent.
-          This is the address oracle the equivalence prover ({!Prove})
-          resolves external branch and call targets against. *)
-  table_addrs : ((string * int) * int) list;
-      (** Text address of each retained jump table, keyed by
-          [(function, table id)]. *)
 }
 
 val decomp_entry : t -> Reg.t -> int

@@ -296,17 +296,12 @@ let launch ?(cost = Cost.default) ?fuel ?trace ?profile ?(slots = 1) (sq : Rewri
   let nregions = Array.length sq.Rewrite.images in
   if sq.Rewrite.buffer_base + (4 * sq.Rewrite.buffer_words * slots) > Layout.data_base
   then invalid_arg "Runtime.launch: cache slots overflow the buffer area";
-  (* Load the Easm text, then store the offset table and the blob bytes at
+  (* Load the image, then store the offset table and the blob bytes at
      blob_base; the zero gap between them is never touched. *)
-  let text_words = sq.Rewrite.text.Easm.words in
-  let text_end = Layout.text_base + (4 * Array.length text_words) in
-  if text_end > Rewrite.blob_base then invalid_arg "Runtime.launch: text overflows into blob";
-  let vm =
-    Vm.create ~cost ?fuel ?profile ~text_base:Layout.text_base ~text:text_words
-      ~entry:sq.Rewrite.entry_addr ~data_base:Layout.data_base
-      ~data_words:sq.Rewrite.prog.Prog.data_words
-      ~data_init:sq.Rewrite.prog.Prog.data_init ~input ()
-  in
+  let img = sq.Rewrite.image in
+  if img.Layout.text_base + (4 * Layout.text_words img) > Rewrite.blob_base then
+    invalid_arg "Runtime.launch: text overflows into blob";
+  let vm = Vm.of_image ~cost ?fuel ?profile img ~input in
   Array.iteri
     (fun i off -> Vm.store_word vm (Rewrite.blob_base + (4 * i)) off)
     sq.Rewrite.blob_offsets;

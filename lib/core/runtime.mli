@@ -66,14 +66,13 @@ val launch :
   Vm.t * stats
 (** Create a VM loaded with the squashed image (text, offset table,
     compressed blob, stub area, buffer slots) and hook the runtime in.
-    The Easm text is the VM's text; the offset table and the blob are
-    stored at [Rewrite.blob_base] afterwards, so the zero gap between them
-    costs nothing.
-    With [~profile:true] the VM counts per-word executions of the Easm
-    text only ([Vm.counts] has one entry per word of
-    [sq.text.Easm.words]) — [Exp_data.reprofile_squashed] maps them back
-    to source blocks through the rewrite's owner array, which covers the
-    same words.  Buffer, stub and blob executions fall outside the counted
+    The VM loads [sq.image] with {!Vm.of_image}, like any other run; the
+    offset table and the blob are stored at [Rewrite.blob_base]
+    afterwards, so the zero gap between them costs nothing.
+    With [~profile:true] the VM counts per-word executions of the image's
+    text only ([Vm.counts] has one entry per word of [sq.image.text]) —
+    [Exp_data.reprofile_squashed] maps them back to source blocks through
+    the image's [owners], which cover the same words.  Buffer, stub and blob executions fall outside the counted
     text, mirroring a real sampled-PC profiler that cannot attribute
     scratch-buffer PCs.
     [slots] (default 1) is the number of decompressed-region cache slots;

@@ -85,8 +85,8 @@ let check_layout acc (sq : Rewrite.t) =
 (* --- entry stubs: decode, target, tag, dead register ------------------ *)
 
 let text_word (sq : Rewrite.t) addr =
-  let text = sq.Rewrite.text.Easm.words in
-  let idx = (addr - sq.Rewrite.text.Easm.base) / 4 in
+  let text = sq.Rewrite.image.Layout.text in
+  let idx = (addr - sq.Rewrite.image.Layout.text_base) / 4 in
   if addr land 3 <> 0 || idx < 0 || idx >= Array.length text then None
   else Some text.(idx)
 
@@ -318,8 +318,11 @@ let run (sq : Rewrite.t) =
   in
   let addr_to_func = Hashtbl.create 64 in
   List.iter
-    (fun (g, a) -> Hashtbl.replace addr_to_func a g)
-    sq.Rewrite.func_entry_addrs;
+    (fun (f : Prog.Func.t) ->
+      Option.iter
+        (fun a -> Hashtbl.replace addr_to_func a f.name)
+        (Hashtbl.find_opt sq.Rewrite.image.Layout.block_addr (f.name, 0)))
+    p.Prog.funcs;
   let buf_lo = sq.Rewrite.buffer_base in
   let buf_hi = sq.Rewrite.buffer_base + (4 * sq.Rewrite.buffer_words) in
   Array.iter

@@ -160,15 +160,14 @@ let timing_run ?trace ?(slots = 1) ?(on = `Timing) p (r : Squash.result) =
   (outcome, stats)
 
 (* Re-profile an already-squashed image: run it under the profiling VM and
-   map per-word counts back to source blocks through the rewrite's owner
-   array.  Executions inside the decompression buffer fall outside the
+   map per-word counts back to source blocks through the image's owners.  Executions inside the decompression buffer fall outside the
    owned words, exactly like a PC sampler that cannot attribute scratch
    addresses — compressed (cold) code is invisible to the re-profile. *)
 let reprofile_squashed (r : Squash.result) ~input =
   let vm, _stats = Runtime.launch ~fuel ~profile:true r.Squash.squashed ~input in
   let outcome = Vm.run vm in
   let counts = Option.get (Vm.counts vm) in
-  let owners = r.Squash.squashed.Rewrite.text.Easm.owners in
+  let owners = r.Squash.squashed.Rewrite.image.Layout.owners in
   let acc = Hashtbl.create 512 in
   Array.iteri
     (fun i owner ->

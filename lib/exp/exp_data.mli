@@ -125,7 +125,7 @@ val timing_run :
 
 val reprofile_squashed : Squash.result -> input:string -> Profile.t * Vm.outcome
 (** Re-profile an already-squashed image: run it with per-word counting
-    and map counts back to source blocks through the rewrite's owner
+    and map counts back to source blocks through the image's owner
     array.  Code executed inside the decompression buffer is unattributed
     (it lies outside the owned words), mirroring a PC sampler that cannot
     see scratch addresses.  The profile's source is [Derived "reprofile"];

@@ -14,7 +14,6 @@ type t = {
   mutable len : int;  (* words emitted so far *)
   mutable owner : (string * int) option;
   mutable fixups : (int * fixup) list;  (* word index -> fixup *)
-  mutable all_labels : label list;
 }
 
 let create ~base =
@@ -26,18 +25,11 @@ let create ~base =
     len = 0;
     owner = None;
     fixups = [];
-    all_labels = [];
   }
 
-let fresh_label t name =
-  let l = { name; addr = None } in
-  t.all_labels <- l :: t.all_labels;
-  l
-
-let label_at t name addr =
-  let l = { name; addr = Some addr } in
-  t.all_labels <- l :: t.all_labels;
-  l
+let fresh_label name = { name; addr = None }
+let label_at name addr = { name; addr = Some addr }
+let address l = l.addr
 
 let here t = t.base + (4 * t.len)
 
@@ -94,16 +86,9 @@ let split_const v =
   (hi, lo)
 
 type image = {
-  base : int;
   words : int array;
   owners : (string * int) option array;
-  labels : (string * int) list;
 }
-
-let resolve (_t : t) l =
-  match l.addr with
-  | Some a -> a
-  | None -> failwith (Printf.sprintf "Easm: unbound label %s" l.name)
 
 let finish (t : t) =
   let target l =
@@ -139,11 +124,6 @@ let finish (t : t) =
       t.words.(idx) <- w)
     t.fixups;
   {
-    base = t.base;
     words = Array.sub t.words 0 t.len;
     owners = Array.sub t.owners 0 t.len;
-    labels =
-      List.filter_map
-        (fun l -> Option.map (fun a -> (l.name, a)) l.addr)
-        (List.rev t.all_labels);
   }

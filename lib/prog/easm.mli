@@ -1,10 +1,12 @@
 (** A tiny two-pass emission assembler.
 
-    Both the canonical layout ({!Layout}) and squash's rewritten-image
-    builder emit machine words through this module: raw words, concrete
-    instructions, and label-relative items (PC-relative branches, absolute
-    address words, and [lda]/[ldah] address-materialisation pairs) whose
-    displacements are patched once all labels are bound.
+    Every text image ({!Layout.emit}, which squash's rewrite also emits
+    through) is made of machine words from this module: raw words,
+    concrete instructions, and label-relative items (PC-relative branches,
+    absolute address words, and [lda]/[ldah] address-materialisation pairs)
+    whose displacements are patched once all labels are bound.  A label is
+    a plain value, not tied to one assembler, so a caller can make the
+    labels that code emitted through another module will reference.
 
     Every emitted word carries an optional {e owner} tag — [(function name,
     block index)] — used to map execution profiles back to basic blocks. *)
@@ -16,12 +18,15 @@ val create : base:int -> t
 (** [base] is the byte address of the first emitted word; it must be
     word-aligned. *)
 
-val fresh_label : t -> string -> label
+val fresh_label : string -> label
 (** Create an unbound label; the string is only for error messages. *)
 
-val label_at : t -> string -> int -> label
-(** A label pre-bound to an absolute byte address (e.g. the decompressor's
-    entry points, which live outside the emitted stream). *)
+val label_at : string -> int -> label
+(** A label pre-bound to an absolute byte address outside the emitted
+    stream. *)
+
+val address : label -> int option
+(** The byte address a label is bound to; [None] while unbound. *)
 
 val bind : t -> label -> unit
 (** Bind a label to the current position.  @raise Invalid_argument if the
@@ -48,20 +53,14 @@ val load_addr : t -> Reg.t -> label -> unit
     absolute address. *)
 
 type image = {
-  base : int;
   words : int array;
   owners : (string * int) option array;
-  labels : (string * int) list;  (** Bound labels, for debugging. *)
 }
 
 val finish : t -> image
 (** Resolve all fixups.
     @raise Failure if a label was never bound or a displacement does not
     fit its field. *)
-
-val resolve : t -> label -> int
-(** Address of a bound label; only meaningful after {!finish} for labels
-    bound with {!bind}.  @raise Failure if unbound. *)
 
 val split_addr : int -> int * int
 (** [split_addr a = (hi, lo)] such that [(hi lsl 16) + sext16 lo = a], for

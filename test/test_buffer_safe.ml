@@ -216,10 +216,10 @@ let safe_call_property name ~max_steps =
   let sq = r.Squash.squashed in
   let bs = r.Squash.buffer_safe in
   let entry_set = Hashtbl.create 64 in
-  List.iter
-    (fun (g, a) ->
-      if Buffer_safe.is_safe bs g then Hashtbl.replace entry_set a g)
-    sq.Rewrite.func_entry_addrs;
+  Hashtbl.iter
+    (fun (g, i) a ->
+      if i = 0 && Buffer_safe.is_safe bs g then Hashtbl.replace entry_set a g)
+    sq.Rewrite.image.Layout.block_addr;
   let vm, stats = Runtime.launch sq ~input:(Workload.profiling_input w) in
   let stack = ref [] in
   let entered = ref 0 in

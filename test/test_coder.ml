@@ -233,16 +233,17 @@ let golden =
     ("adpcm", 1.0, "context", "befabd0f7e752acdcee33d25b6121e27");
   ]
 
-let output_digest name theta coder =
+let squashed name theta coder =
   let p = Exp_data.prepare (Option.get (Workloads.find name)) in
   let options =
     { Squash.default_options with
       Squash.theta;
       coder = List.assoc coder Compress.coders }
   in
-  let sq =
-    (Exp_data.squash_with_profile p options p.Exp_data.profile).Squash.squashed
-  in
+  (Exp_data.squash_with_profile p options p.Exp_data.profile).Squash.squashed
+
+let output_digest name theta coder =
+  let sq = squashed name theta coder in
   let streams =
     Array.map (fun (img : Rewrite.region_image) -> img.Rewrite.stream)
       sq.Rewrite.images
@@ -260,16 +261,58 @@ let output_digest name theta coder =
   ]
   |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
+(* The digests above pin only the compressed side; these pin the text image
+   the rewrite lays out: its words and owners, the entry, the entry stubs
+   and the sorted block and table address maps.  The text does not depend
+   on the coder, so both coders of a cell share a digest. *)
+let image_golden =
+  [
+    ("gsm", 0.01, "huffman", "01c34dd12e4eda3c02a70fb051e33882");
+    ("gsm", 0.01, "context", "01c34dd12e4eda3c02a70fb051e33882");
+    ("gsm", 1.0, "huffman", "6cbfd4241d2d1aee0953f96987c7073e");
+    ("gsm", 1.0, "context", "6cbfd4241d2d1aee0953f96987c7073e");
+    ("adpcm", 0.01, "huffman", "10baf305ea1054a6c2a8acb7a28961f4");
+    ("adpcm", 0.01, "context", "10baf305ea1054a6c2a8acb7a28961f4");
+    ("adpcm", 1.0, "huffman", "9a21e78358fef3ff01eb95ce8ad18dff");
+    ("adpcm", 1.0, "context", "9a21e78358fef3ff01eb95ce8ad18dff");
+  ]
+
+let image_digest name theta coder =
+  let sq = squashed name theta coder in
+  let img = sq.Rewrite.image in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let key (f, i) = Printf.sprintf "%s.%d" f i in
+  let addrs l =
+    String.concat ","
+      (List.map (fun (k, a) -> Printf.sprintf "%s=%d" (key k) a) (List.sort compare l))
+  in
+  let bindings tbl = Hashtbl.fold (fun k a acc -> (k, a) :: acc) tbl [] in
+  [
+    ints (Array.to_list img.Layout.text);
+    String.concat ","
+      (Array.to_list
+         (Array.map (function None -> "-" | Some k -> key k) img.Layout.owners));
+    string_of_int img.Layout.entry_addr;
+    addrs sq.Rewrite.stub_addrs;
+    addrs (bindings img.Layout.block_addr);
+    addrs (bindings img.Layout.table_addr);
+  ]
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
 let golden_tests =
+  let check what digest_of cases =
+    List.iter
+      (fun (name, theta, coder, digest) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s theta=%g %s" what name theta coder)
+          digest (digest_of name theta coder))
+      cases
+  in
   [
     Alcotest.test_case "every coder's output matches its golden digest" `Quick
-      (fun () ->
-        List.iter
-          (fun (name, theta, coder, digest) ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s theta=%g %s" name theta coder)
-              digest (output_digest name theta coder))
-          golden);
+      (fun () -> check "output" output_digest golden);
+    Alcotest.test_case "every squashed text image matches its golden digest" `Quick
+      (fun () -> check "image" image_digest image_golden);
   ]
 
 let suite = [ ("coder", property_tests @ workload_tests @ golden_tests) ]

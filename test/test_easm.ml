@@ -7,7 +7,7 @@ let unit_tests =
   [
     Alcotest.test_case "forward branch displacement" `Quick (fun () ->
         let asm = Easm.create ~base:0x1000 in
-        let l = Easm.fresh_label asm "target" in
+        let l = Easm.fresh_label "target" in
         Easm.branch asm `Br Reg.zero l;
         Easm.instr asm Instr.Nop;
         Easm.bind asm l;
@@ -19,7 +19,7 @@ let unit_tests =
         | _ -> Alcotest.fail "expected br");
     Alcotest.test_case "backward branch displacement" `Quick (fun () ->
         let asm = Easm.create ~base:0x1000 in
-        let l = Easm.fresh_label asm "loop" in
+        let l = Easm.fresh_label "loop" in
         Easm.bind asm l;
         Easm.instr asm Instr.Nop;
         Easm.branch asm `Br Reg.zero l;
@@ -29,7 +29,7 @@ let unit_tests =
         | _ -> Alcotest.fail "expected br");
     Alcotest.test_case "load_addr materialises the label address" `Quick (fun () ->
         let asm = Easm.create ~base:0x1000 in
-        let l = Easm.fresh_label asm "x" in
+        let l = Easm.fresh_label "x" in
         Easm.load_addr asm 3 l;
         Easm.bind asm l;
         Easm.word asm 0xDEAD;
@@ -46,7 +46,7 @@ let unit_tests =
         Alcotest.(check int) "address" 0x1008 value);
     Alcotest.test_case "addr_word stores the absolute address" `Quick (fun () ->
         let asm = Easm.create ~base:0x2000 in
-        let l = Easm.fresh_label asm "t" in
+        let l = Easm.fresh_label "t" in
         Easm.addr_word asm l;
         Easm.bind asm l;
         Easm.instr asm Instr.Nop;
@@ -54,7 +54,7 @@ let unit_tests =
         Alcotest.(check int) "word" 0x2004 img.Easm.words.(0));
     Alcotest.test_case "label_at binds outside the stream" `Quick (fun () ->
         let asm = Easm.create ~base:0x1000 in
-        let ext = Easm.label_at asm "external" 0x8000 in
+        let ext = Easm.label_at "external" 0x8000 in
         Easm.branch asm `Bsr 26 ext;
         let img = Easm.finish asm in
         match Instr.decode img.Easm.words.(0) with
@@ -63,14 +63,14 @@ let unit_tests =
         | _ -> Alcotest.fail "expected bsr");
     Alcotest.test_case "unbound label fails at finish" `Quick (fun () ->
         let asm = Easm.create ~base:0x1000 in
-        let l = Easm.fresh_label asm "never" in
+        let l = Easm.fresh_label "never" in
         Easm.branch asm `Br Reg.zero l;
         match Easm.finish asm with
         | exception Failure _ -> ()
         | _ -> Alcotest.fail "expected failure");
     Alcotest.test_case "double bind is rejected" `Quick (fun () ->
         let asm = Easm.create ~base:0x1000 in
-        let l = Easm.fresh_label asm "l" in
+        let l = Easm.fresh_label "l" in
         Easm.bind asm l;
         match Easm.bind asm l with
         | exception Invalid_argument _ -> ()

@@ -323,7 +323,7 @@ let displacement_mutants =
 (* Entry stubs in the 2-word form, for in-place text patching. *)
 let two_word_stubs sq =
   let word_at addr =
-    sq.Rewrite.text.Easm.words.((addr - sq.Rewrite.text.Easm.base) / 4)
+    sq.Rewrite.image.Layout.text.((addr - sq.Rewrite.image.Layout.text_base) / 4)
   in
   List.filter
     (fun (_, addr) ->
@@ -333,8 +333,8 @@ let two_word_stubs sq =
     sq.Rewrite.stub_addrs
 
 let patched sq addr w k =
-  let idx = (addr - sq.Rewrite.text.Easm.base) / 4 in
-  let words = sq.Rewrite.text.Easm.words in
+  let idx = (addr - sq.Rewrite.image.Layout.text_base) / 4 in
+  let words = sq.Rewrite.image.Layout.text in
   let saved = words.(idx) in
   words.(idx) <- w;
   let r = k () in
@@ -351,8 +351,8 @@ let stub_tag_mutants =
       QCheck.assume (delta <> 0);
       let _, addr = List.nth stubs (a mod List.length stubs) in
       let tag_addr = addr + 4 in
-      let idx = (tag_addr - sq.Rewrite.text.Easm.base) / 4 in
-      let tag = sq.Rewrite.text.Easm.words.(idx) in
+      let idx = (tag_addr - sq.Rewrite.image.Layout.text_base) / 4 in
+      let tag = sq.Rewrite.image.Layout.text.(idx) in
       patched sq tag_addr (tag + delta) (fun () ->
           let r = Prove.run ~slots:1 sq in
           r.Prove.failures <> []))
@@ -366,9 +366,9 @@ let stub_target_mutants =
     (fun (a, delta) ->
       QCheck.assume (delta <> 0);
       let _, addr = List.nth stubs (a mod List.length stubs) in
-      let idx = (addr - sq.Rewrite.text.Easm.base) / 4 in
+      let idx = (addr - sq.Rewrite.image.Layout.text_base) / 4 in
       let w =
-        match Instr.decode sq.Rewrite.text.Easm.words.(idx) with
+        match Instr.decode sq.Rewrite.image.Layout.text.(idx) with
         | Ok (Instr.Bsr { ra; disp }) ->
           Instr.encode (Instr.Bsr { ra; disp = disp + delta })
         | Ok _ | Error _ -> Alcotest.fail "stub lost its bsr"

@@ -70,7 +70,7 @@ let check_identical name (a : Rewrite.t) (b : Rewrite.t) =
     b.Rewrite.blob_offsets;
   Alcotest.(check (array int))
     (name ^ " text words")
-    a.Rewrite.text.Easm.words b.Rewrite.text.Easm.words;
+    a.Rewrite.image.Layout.text b.Rewrite.image.Layout.text;
   Alcotest.(check int) (name ^ " total words") (Rewrite.total_words a)
     (Rewrite.total_words b);
   Alcotest.(check (list (pair (pair string int) int)))

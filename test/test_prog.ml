@@ -83,7 +83,7 @@ let unit_tests =
         let img = Layout.emit p in
         Alcotest.(check int) "text base" Layout.text_base img.Layout.text_base;
         Alcotest.(check bool) "entry at main" true
-          (img.Layout.entry_addr = Hashtbl.find img.Layout.func_entry "main");
+          (img.Layout.entry_addr = Hashtbl.find img.Layout.block_addr ("main", 0));
         for i = 0 to 2 do
           if not (Hashtbl.mem img.Layout.block_addr ("main", i)) then
             Alcotest.failf "block %d missing" i

@@ -208,7 +208,7 @@ int main() {
         let p, _ = Squeeze.run (compile fib_src) in
         let sq = (squash p).Squash.squashed in
         let words = Array.make (((Rewrite.blob_base - Layout.text_base) / 4) + 1) 0 in
-        let sq = { sq with Rewrite.text = { sq.Rewrite.text with Easm.words } } in
+        let sq = { sq with Rewrite.image = { sq.Rewrite.image with Layout.text = words } } in
         Alcotest.check_raises "overflow"
           (Invalid_argument "Runtime.launch: text overflows into blob") (fun () ->
             ignore (Runtime.launch sq ~input:"")));
@@ -226,7 +226,7 @@ int main() {
         in
         let nregions = Array.length sq.Rewrite.images in
         Alcotest.(check bool) "has regions" true (nregions > 0);
-        let text = sq.Rewrite.text.Easm.words in
+        let text = sq.Rewrite.image.Layout.text in
         let blob_idx = (Rewrite.blob_base - Layout.text_base) / 4 in
         let flat =
           Array.make (blob_idx + nregions + ((String.length sq.Rewrite.blob + 3) / 4)) 0

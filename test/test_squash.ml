@@ -362,6 +362,43 @@ int main() {
             let o2, _ = run_squashed ~input:"x" r in
             check_same (Printf.sprintf "K=%d" k) o1 o2)
           [ 64; 128; 256; 512; 2048 ]);
+    Alcotest.test_case "no compressible block: the rewrite lays out as Layout.emit"
+      `Quick (fun () ->
+        (* With no region the rewrite's text is the canonical layout word
+           for word, followed by the decompressor's sentinel area. *)
+        List.iter
+          (fun (wl : Workload.t) ->
+            let p = (Exp_data.prepare wl).Exp_data.squeezed in
+            let regions =
+              Regions.build p ~compressible:(fun _ _ -> false)
+                ~params:Regions.default_params
+            in
+            let buffer_safe = Buffer_safe.analyze p ~has_compressed:(fun _ -> false) in
+            let sq = Rewrite.build p ~regions ~buffer_safe () in
+            let img = sq.Rewrite.image and canon = Layout.emit p in
+            let n = Layout.text_words canon and extra = sq.Rewrite.decomp_words in
+            let what s = Printf.sprintf "%s %s" wl.Workload.name s in
+            let bindings tbl =
+              List.sort compare (Hashtbl.fold (fun k a acc -> (k, a) :: acc) tbl [])
+            in
+            Alcotest.(check int) (what "regions") 0 (Array.length sq.Rewrite.images);
+            Alcotest.(check int) (what "words") (n + extra) (Layout.text_words img);
+            Alcotest.(check (array int)) (what "text") canon.Layout.text
+              (Array.sub img.Layout.text 0 n);
+            Alcotest.(check (array int)) (what "sentinels")
+              (Array.make extra (Instr.encode Instr.Sentinel))
+              (Array.sub img.Layout.text n extra);
+            Alcotest.(check (array (option (pair string int)))) (what "owners")
+              (Array.append canon.Layout.owners (Array.make extra None))
+              img.Layout.owners;
+            Alcotest.(check int) (what "entry") canon.Layout.entry_addr
+              img.Layout.entry_addr;
+            let addrs = Alcotest.(list (pair (pair string int) int)) in
+            Alcotest.check addrs (what "block addresses")
+              (bindings canon.Layout.block_addr) (bindings img.Layout.block_addr);
+            Alcotest.check addrs (what "table addresses")
+              (bindings canon.Layout.table_addr) (bindings img.Layout.table_addr))
+          Workloads.all);
   ]
 
 (* The image gate over [sq]: lint, then prove at two slots. *)
@@ -440,7 +477,7 @@ let checker_tests =
           | (_, addr) :: _ -> addr
           | [] -> Alcotest.fail "no entry stubs"
         in
-        let words = sq.Rewrite.text.Easm.words in
+        let words = sq.Rewrite.image.Layout.text in
         let word_idx a = (a - Layout.text_base) / 4 in
         (* The tag word follows the stub's bsr: 2-word plain form or
            3-word push form (stw sp, -4 first). *)

@@ -81,10 +81,10 @@ let check_only sq kind =
 (* The text image is a plain word array: corruptions patch it the way a
    linker bug or a bit flip would. *)
 let word_at sq addr =
-  sq.Rewrite.text.Easm.words.((addr - sq.Rewrite.text.Easm.base) / 4)
+  sq.Rewrite.image.Layout.text.((addr - sq.Rewrite.image.Layout.text_base) / 4)
 
 let patch_word sq addr w =
-  sq.Rewrite.text.Easm.words.((addr - sq.Rewrite.text.Easm.base) / 4) <- w
+  sq.Rewrite.image.Layout.text.((addr - sq.Rewrite.image.Layout.text_base) / 4) <- w
 
 (* A stub in the 2-word form: [bsr rf, decomp.rf ; tag].  The fixture is
    small enough that every block has a dead register, but don't rely on
